@@ -34,19 +34,29 @@ class NotSchedulableError(RuntimeError):
 def busy_time(q: int, own_cost: int,
               interference: Callable[[int], int],
               horizon: int = 2**48,
-              max_iterations: int = 100_000) -> int:
+              max_iterations: int = 100_000,
+              start: int = 0) -> int:
     """Solve the fixed point W(q) = q * own_cost + interference(W(q)).
 
     ``interference`` must be monotonically non-decreasing in the window
     size; the iteration then converges to the least fixed point or
     exceeds ``horizon`` (treated as unschedulable).
+
+    ``start`` warm-starts the iteration at ``max(q * own_cost, 1,
+    start)`` instead of at ``q * own_cost``.  It must not exceed the
+    least fixed point: iterating a monotone function from any point
+    below its least fixed point climbs to that same fixed point, so
+    the result equals the cold solve, in fewer steps.  A ``start``
+    past the least fixed point stops at the first window whose demand
+    fits (the undershoot branch): a safe upper bound on the least
+    fixed point, not the point itself.
     """
     if q <= 0:
         raise ValueError(f"q must be >= 1, got {q}")
     if own_cost < 0:
         raise ValueError(f"cost must be >= 0, got {own_cost}")
     base = q * own_cost
-    w = max(base, 1)
+    w = max(base, 1, start)
     for _ in range(max_iterations):
         nxt = base + interference(w)
         if nxt > horizon:
@@ -56,8 +66,9 @@ def busy_time(q: int, own_cost: int,
         if nxt == w:
             return w
         if nxt < w:
-            # A non-monotone interference function can undershoot;
-            # the least fixed point is still w (demand satisfied).
+            # Undershoot: the demand already fits in w.  Cold, only a
+            # non-monotone interference function gets here; warm, it
+            # also means ``start`` overshot the least fixed point.
             return w
         w = nxt
     raise NotSchedulableError(
@@ -102,8 +113,13 @@ def response_time(own_cost: int, model: EventModel,
     # δ⁻(q) is evaluated once per q and carried into the next
     # iteration, where it is this iteration's Eq. 4 check value.
     delta_q = model.delta_minus(1)
+    # W(q) >= W(q-1) + own_cost for monotone interference (the q-event
+    # demand is the (q-1)-event demand plus one more own_cost), so each
+    # q's fixed point is climbed from there rather than from q * C.
+    w = 0
     while True:
-        w = busy_time(q, own_cost, interference, horizon=horizon)
+        w = busy_time(q, own_cost, interference, horizon=horizon,
+                      start=w + own_cost)
         busy_times.append(w)
         candidate = w - delta_q
         if candidate > worst or q == 1:

@@ -2,7 +2,7 @@
 (Eqs. 3–5)."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.busy_window import (
@@ -11,6 +11,7 @@ from repro.analysis.busy_window import (
     response_time,
 )
 from repro.analysis.event_models import PeriodicEventModel
+from repro.analysis.tdma import tdma_interference
 
 
 class TestBusyTime:
@@ -115,3 +116,83 @@ def test_property_response_time_bounds_busy_times(cost, period, hp_cost,
     for q in range(1, result.q_max + 1):
         assert result.response_time >= result.busy_time(q) - model.delta_minus(q)
     assert result.response_time >= cost
+
+
+@st.composite
+def monotone_interference(draw):
+    """Random monotone interference: periodic terms plus a TDMA term.
+
+    Returns the callable and its long-run rate (interference per cycle
+    of window), so callers can keep the busy window bounded.
+    """
+    terms = draw(st.lists(
+        st.tuples(st.integers(min_value=1, max_value=20),
+                  st.integers(min_value=40, max_value=400)),
+        max_size=3,
+    ))
+    cycle = draw(st.integers(min_value=10, max_value=500))
+    slot = draw(st.integers(min_value=cycle // 2, max_value=cycle))
+
+    def interference(window):
+        total = tdma_interference(window, cycle, slot)
+        for cost, period in terms:
+            total += -(-window // period) * cost
+        return total
+
+    rate = (cycle - slot) / cycle + sum(c / p for c, p in terms)
+    return interference, rate
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    q=st.integers(min_value=1, max_value=6),
+    cost=st.integers(min_value=0, max_value=30),
+    curve=monotone_interference(),
+    data=st.data(),
+)
+def test_property_warm_start_equals_cold(q, cost, curve, data):
+    """Any start at or below the least fixed point lands on it."""
+    interference, rate = curve
+    assume(rate < 0.95)
+    cold = busy_time(q, cost, interference)
+    start = data.draw(st.integers(min_value=0, max_value=cold))
+    assert busy_time(q, cost, interference, start=start) == cold
+    # the precondition's boundary: starting on the fixed point itself
+    assert busy_time(q, cost, interference, start=cold) == cold
+
+
+def cold_response_time(own_cost, model, interference):
+    """Eqs. 3-5 with every q solved from q * own_cost (no warm start)."""
+    busy_times = []
+    worst, critical_q, q = 0, 1, 1
+    while True:
+        w = busy_time(q, own_cost, interference)
+        busy_times.append(w)
+        candidate = w - model.delta_minus(q)
+        if candidate > worst:
+            worst, critical_q = candidate, q
+        if model.delta_minus(q + 1) > w:
+            return worst, q, tuple(busy_times), critical_q
+        q += 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cost=st.integers(min_value=1, max_value=60),
+    period=st.integers(min_value=20, max_value=600),
+    jitter=st.integers(min_value=0, max_value=600),
+    curve=monotone_interference(),
+)
+def test_property_warm_response_time_matches_cold(cost, period, jitter,
+                                                   curve):
+    """Warm-started q iterations change no W(q), q_max, critical_q or R."""
+    interference, rate = curve
+    assume(rate + cost / period < 0.95)
+    model = PeriodicEventModel(period, jitter=jitter)
+    result = response_time(cost, model, interference)
+    worst, q_max, busy_times, critical_q = cold_response_time(
+        cost, model, interference)
+    assert result.busy_times == busy_times
+    assert result.response_time == worst
+    assert result.q_max == q_max
+    assert result.critical_q == critical_q

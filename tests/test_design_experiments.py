@@ -1,12 +1,17 @@
 """Tests for the design workflow and depth-ablation experiments."""
 
+import itertools
+
 import pytest
 
+from repro.analysis import schedulability
 from repro.experiments.ablation import (
     render_depth_ablation,
     run_depth_ablation,
 )
-from repro.experiments.design import render_design, run_design
+from repro.experiments.design import _task_specs, render_design, run_design
+from repro.hypervisor.config import CostModel
+from repro.sim.clock import Clock
 
 
 class TestDesignWorkflow:
@@ -33,6 +38,34 @@ class TestDesignWorkflow:
         text = render_design(result)
         assert "minimum admissible d_min" in text
         assert "yes" in text
+
+
+def test_min_admissible_dmin_work_count(monkeypatch):
+    """Pin the interference evaluations of the design d_min search.
+
+    The count is exact for the fixed victim task set, so it is the
+    regression signal for the busy-window solver's work (each q is
+    warm-started from W(q-1); solving every q from q*C took 918,626).
+    """
+    calls = itertools.count()
+    original = schedulability.response_time
+
+    def counted_response_time(own_cost, model, interference, *args,
+                              **kwargs):
+        def counted(window, tick=calls.__next__):
+            tick()
+            return interference(window)
+        return original(own_cost, model, counted, *args, **kwargs)
+
+    monkeypatch.setattr(schedulability, "response_time",
+                        counted_response_time)
+    clock = Clock()
+    us = clock.us_to_cycles
+    dmin = schedulability.min_admissible_dmin(
+        _task_specs(clock), us(4_000), us(2_000), us(40.0), CostModel())
+    assert next(calls) == 95_535
+    assert dmin == 76_020
+    assert clock.cycles_to_us(dmin) == pytest.approx(380.1)
 
 
 class TestDepthAblation:

@@ -118,13 +118,12 @@ class TestMinAdmissibleDmin:
             simple_tasks(), CYCLE, SLOT,
             [InterposingLoad(dmin, 40 * US)], COSTS)
         assert ok.schedulable
-        # ...and slightly below it (if distinguishable) it is not
-        if dmin > COSTS.effective_bottom_handler_cycles(40 * US) + 1:
-            bad = partition_schedulable(
-                simple_tasks(), CYCLE, SLOT,
-                [InterposingLoad(dmin - max(1, dmin // 50), 40 * US)], COSTS)
-            # monotone in d_min, so either equal boundary or broken below
-            assert bad.schedulable in (False, True)
+        # ...and one cycle below it, above the C'_BH floor, it is not
+        assert dmin > max(1, COSTS.effective_bottom_handler_cycles(40 * US))
+        bad = partition_schedulable(
+            simple_tasks(), CYCLE, SLOT,
+            [InterposingLoad(dmin - 1, 40 * US)], COSTS)
+        assert not bad.schedulable
 
     def test_unschedulable_baseline_returns_none(self):
         tasks = [TaskSpec("fat", 1, wcet=3_000 * US, period=4_000 * US)]
@@ -160,3 +159,49 @@ def test_property_response_time_monotone_in_dmin(dmin_a, dmin_b):
             return math.inf
 
     assert response(hi) <= response(lo)
+
+
+@st.composite
+def victim_partitions(draw):
+    """A 1-3 task partition with utilisation < 0.9 in one TDMA slot."""
+    cycle = draw(st.integers(min_value=40_000, max_value=400_000))
+    slot = draw(st.integers(min_value=cycle // 4, max_value=cycle))
+    count = draw(st.integers(min_value=1, max_value=3))
+    tasks = []
+    for index in range(count):
+        period = draw(st.integers(min_value=cycle // 2,
+                                  max_value=16 * cycle))
+        wcet = draw(st.integers(min_value=1,
+                                max_value=max(1, int(0.9 * period / count))))
+        tasks.append(TaskSpec(f"t{index}", priority=index, wcet=wcet,
+                              period=period))
+    assume(sum(task.wcet / task.period for task in tasks) < 0.9)
+    c_bh = draw(st.integers(min_value=0, max_value=slot // 4))
+    return tasks, cycle, slot, c_bh
+
+
+@settings(max_examples=40, deadline=None)
+@given(partition=victim_partitions())
+def test_property_min_admissible_dmin_is_minimal(partition):
+    """The binary search returns the boundary, not just a fitting d_min.
+
+    Either no probed d_min fits (and then the upper probe is
+    unschedulable), or the partition fits at the returned d_min and,
+    above the C'_BH floor, does not fit one cycle below it.
+    """
+    tasks, cycle, slot, c_bh = partition
+
+    def fits(dmin):
+        return partition_schedulable(
+            tasks, cycle, slot, [InterposingLoad(dmin, c_bh)], COSTS,
+        ).schedulable
+
+    dmin = min_admissible_dmin(tasks, cycle, slot, c_bh, COSTS)
+    floor = max(1, COSTS.effective_bottom_handler_cycles(c_bh))
+    if dmin is None:
+        assert not fits(64 * cycle)
+        return
+    assert floor <= dmin <= 64 * cycle
+    assert fits(dmin)
+    if dmin > floor:
+        assert not fits(dmin - 1)
