@@ -1,773 +1,21 @@
-"""Pluggable event-queue backends for the simulation engine.
+"""Name of the simulation engine's event queue.
 
-The discrete-event dispatch loop is the hottest code in the
-reproduction, so the storage of pending events is swappable.  Three
-backends exist:
-
-``heap`` (:class:`HeapQueueEngine`)
-    A binary heap of ``(time, seq, callback, handle)`` tuples.  Every
-    sift comparison is a C-level tuple compare, the callback rides in
-    the entry so dispatch needs no attribute load, and lazily-cancelled
-    entries are compacted away when they outnumber live ones.
-
-``bucket`` (:class:`BucketQueueEngine`)
-    A calendar/timing-wheel hybrid: a dict keyed by timestamp whose
-    values are either a single ``(seq, callback, handle)`` tuple (the
-    overwhelmingly common case) or a list of them, plus a small binary
-    heap of the *distinct* timestamps.  Workloads dominated by periodic
-    timer/TDMA deadlines reschedule into a handful of distinct
-    timestamps, so most heap traffic collapses into integer pushes and
-    O(1) dict hits, and all events sharing a cycle drain as one batch
-    with a single clock write.
-
-``array`` (:class:`repro.sim.arrayqueue.ArrayQueueEngine`)
-    Columnar storage: parallel integer columns for (time, seq,
-    cancelled) plus flat callback/handle lists, slot recycling through
-    a freelist, and the same calendar-bucket index keyed over the time
-    column.  Dense same-cycle volleys inserted via
-    ``schedule_batch`` occupy contiguous column blocks covered by one
-    batch handle and dispatch straight off the callback column — no
-    per-event allocation at all — which is what clears the >=1.8x gate
-    over ``bucket`` on the dispatch-dominated fig6 storm benchmark.
-    Compaction optionally vectorizes through numpy and degrades to
-    pure python when numpy is absent.
-
-All backends emit the exact same ``(time, seq)`` FIFO order — traces,
-latency CSVs and snapshot digests are byte-identical across backends,
-pinned by ``tests/test_queue_backends.py``.  The default backend is the
-one that measures faster on the interleaved A/B microbenchmark
-(``repro.sim.benchmark.measure_backend_ab``); override it per process
-with the ``REPRO_QUEUE_BACKEND`` environment variable or per engine
-with ``SimulationEngine(backend=...)`` (the experiments CLI exposes
-``--queue-backend``).
+:class:`~repro.sim.engine.SimulationEngine` keeps pending events in one
+binary heap; this module only resolves the name it is recorded under
+in run manifests, artifact-store metadata and ``--bench-json``
+records (``"heap"``).  History written before the engine had a single
+queue may name another backend (``bucket``, ``array``); all of them
+dispatched in the same ``(time, seq)`` order.
 """
 
 from __future__ import annotations
 
-import os
-from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Optional
+from typing import Optional
 
-from repro.sim.arrayqueue import ArrayQueueEngine
-from repro.sim.engine import COMPACTION_FLOOR, SimulationEngine, SimulationError
-from repro.sim.events import EventHandle
-
-#: Measured faster on the interleaved A/B microbenchmark (same-cycle
-#: batches collapse into single bucket drains); see
-#: ``repro.sim.benchmark.measure_backend_ab`` and BENCH_experiments.json.
-DEFAULT_QUEUE_BACKEND = "bucket"
-
-#: Environment variable consulted when no explicit backend is given.
-ENV_QUEUE_BACKEND = "REPRO_QUEUE_BACKEND"
+from repro.sim.engine import SimulationEngine
 
 
 def resolve_backend_name(explicit: Optional[str] = None) -> str:
-    """Resolve a backend name: explicit argument > environment > default."""
-    name = explicit
-    if name is None:
-        name = os.environ.get(ENV_QUEUE_BACKEND) or DEFAULT_QUEUE_BACKEND
-    if name not in QUEUE_BACKENDS:
-        known = ", ".join(sorted(QUEUE_BACKENDS))
-        source = ("explicit backend argument" if explicit is not None
-                  else f"environment variable {ENV_QUEUE_BACKEND}")
-        raise SimulationError(
-            f"unknown queue backend {name!r} from {source} "
-            f"(valid backends: {known})"
-        )
-    return name
-
-
-def resolve_backend_class(explicit: Optional[str] = None) -> type:
-    """Resolve a backend name to its engine class."""
-    return QUEUE_BACKENDS[resolve_backend_name(explicit)]
-
-
-class HeapQueueEngine(SimulationEngine):
-    """Binary-heap event queue with lazy cancellation and batch dispatch."""
-
-    backend_name = "heap"
-
-    __slots__ = ("_heap",)
-
-    def __init__(self, backend: Optional[str] = None,
-                 idle_skip: Optional[bool] = None):
-        super().__init__(idle_skip=idle_skip)
-        # Entries are (time, seq, callback, handle): the callback is
-        # duplicated into the tuple so the dispatch loop never loads it
-        # off the handle, and (time, seq) uniqueness guarantees the
-        # trailing elements are never compared during sifts.
-        self._heap: list[tuple] = []
-
-    # -- scheduling (hot) ----------------------------------------------
-
-    def schedule(self, delay: int, callback: Callable[[], Any],
-                 label: Optional[str] = None, *,
-                 _push=heappush, _new=EventHandle.__new__, _cls=EventHandle) -> EventHandle:
-        """Schedule ``callback`` to run ``delay`` cycles from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule an event in the past (delay={delay})")
-        time = self._now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        # Allocate the handle without a Python-level __init__ call.
-        handle = _new(_cls)
-        handle.time = time
-        handle.seq = seq
-        handle.callback = callback
-        handle.label = label
-        handle._cancelled = False
-        handle._fired = False
-        handle._engine = self
-        self._pending += 1
-        _push(self._heap, (time, seq, callback, handle))
-        return handle
-
-    def schedule_at(self, time: int, callback: Callable[[], Any],
-                    label: Optional[str] = None, *,
-                    _push=heappush, _new=EventHandle.__new__, _cls=EventHandle) -> EventHandle:
-        """Schedule ``callback`` to run at absolute time ``time``."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule an event in the past (t={time}, now={self._now})"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        handle = _new(_cls)
-        handle.time = time
-        handle.seq = seq
-        handle.callback = callback
-        handle.label = label
-        handle._cancelled = False
-        handle._fired = False
-        handle._engine = self
-        self._pending += 1
-        _push(self._heap, (time, seq, callback, handle))
-        return handle
-
-    def _insert_entry(self, time: int, seq: int, callback: Callable[[], Any],
-                      handle: EventHandle) -> None:
-        heappush(self._heap, (time, seq, callback, handle))
-
-    # -- cancellation / compaction -------------------------------------
-
-    def _event_cancelled(self) -> None:
-        pending = self._pending - 1
-        self._pending = pending
-        self._cancelled_count += 1
-        # Compact when dead entries outnumber both the floor and the
-        # live count.  Triggering at cancel time (rather than on every
-        # schedule, as before) keeps the accounting exact while moving
-        # the check off the schedule hot path entirely.
-        dead = len(self._heap) - pending
-        if dead > COMPACTION_FLOOR and dead > pending:
-            self._compact()
-
-    def _compact(self) -> None:
-        """Rebuild the heap without lazily-cancelled dead entries.
-
-        Mutates the heap list *in place* — the run loops hold a local
-        alias to it — and preserves every live entry exactly, so event
-        ordering (and therefore simulation output) is unchanged.
-        """
-        heap = self._heap
-        heap[:] = [entry for entry in heap if not entry[3]._cancelled]
-        heapify(heap)
-        self._compactions += 1
-
-    # -- dispatch (hot) ------------------------------------------------
-
-    def run(self, max_events: Optional[int] = None, *, _pop=heappop) -> int:
-        """Run until the event queue is empty (or ``max_events`` fired).
-
-        Returns the number of events executed by this call.
-        """
-        executed = 0
-        self._running = True
-        self._stop_requested = False
-        heap = self._heap
-        now = self._now
-        batches = 0
-        # Unbounded runs open the skip window: a dispatched callback
-        # may fast-forward the clock across a quiescent gap (never past
-        # the next pending event, so the stale loop-local ``now`` is
-        # corrected by the next pop's clock write).  Bounded runs keep
-        # it closed — the caller observes individual events.
-        self._skip_allowed = max_events is None
-        self._run_bound = None
-        try:
-            if max_events is None:
-                while heap:
-                    time, _seq, callback, handle = _pop(heap)
-                    if handle._cancelled:
-                        continue
-                    # Same-cycle batch dispatch: the clock is written
-                    # only when the timestamp actually advances.
-                    if time != now:
-                        self._now = now = time
-                        batches += 1
-                    handle._fired = True
-                    executed += 1
-                    callback()
-                    if self._stop_requested:
-                        break
-            else:
-                while heap and executed != max_events:
-                    time, _seq, callback, handle = _pop(heap)
-                    if handle._cancelled:
-                        continue
-                    if time != now:
-                        self._now = now = time
-                        batches += 1
-                    handle._fired = True
-                    executed += 1
-                    callback()
-                    if self._stop_requested:
-                        break
-        finally:
-            self._running = False
-            self._skip_allowed = False
-            # Counters are batched per run rather than bumped per
-            # event; nothing observes them mid-callback (the telemetry
-            # collectors sample after a run completes).
-            self._events_executed += executed
-            self._pending -= executed
-            self._dispatch_batches += batches
-        return executed
-
-    def run_until(self, time: int, *, _pop=heappop) -> int:
-        """Run all events with timestamps <= ``time``; advance clock to ``time``.
-
-        Returns the number of events executed by this call.
-        """
-        if time < self._now:
-            raise SimulationError(f"cannot run backwards (t={time}, now={self._now})")
-        executed = 0
-        self._running = True
-        self._stop_requested = False
-        heap = self._heap
-        now = self._now
-        batches = 0
-        self._skip_allowed = True
-        self._run_bound = time
-        try:
-            while heap:
-                event_time, _seq, callback, handle = heap[0]
-                if handle._cancelled:
-                    _pop(heap)
-                    continue
-                if event_time > time:
-                    break
-                _pop(heap)
-                if event_time != now:
-                    self._now = now = event_time
-                    batches += 1
-                handle._fired = True
-                executed += 1
-                callback()
-                if self._stop_requested:
-                    break
-        finally:
-            self._running = False
-            self._skip_allowed = False
-            self._events_executed += executed
-            self._pending -= executed
-            self._dispatch_batches += batches
-        if not self._stop_requested:
-            self._now = max(self._now, time)
-        return executed
-
-    def step(self) -> bool:
-        """Execute the next pending event.
-
-        Returns True if an event was executed, False if the queue was
-        exhausted (only cancelled or no events remained).
-        """
-        heap = self._heap
-        while heap:
-            time, _seq, callback, handle = heappop(heap)
-            if handle._cancelled:
-                continue
-            if time != self._now:
-                self._now = time
-                self._dispatch_batches += 1
-            handle._fired = True
-            self._pending -= 1
-            self._events_executed += 1
-            callback()
-            return True
-        return False
-
-    # -- introspection -------------------------------------------------
-
-    @property
-    def heap_depth(self) -> int:
-        return len(self._heap)
-
-    def _next_pending(self) -> Optional[EventHandle]:
-        heap = self._heap
-        while heap:
-            handle = heap[0][3]
-            if handle._cancelled:
-                heappop(heap)
-                continue
-            return handle
-        return None
-
-    def live_entries(self) -> list[tuple[int, int, EventHandle]]:
-        # (time, seq) pairs are unique, so plain tuple sort never
-        # reaches the (uncomparable-in-general) handle element.
-        return sorted((entry[0], entry[1], entry[3])
-                      for entry in self._heap if not entry[3]._cancelled)
-
-
-class BucketQueueEngine(SimulationEngine):
-    """Calendar-bucket event queue: one bucket per distinct timestamp.
-
-    ``_buckets`` maps ``time -> entry | list[entry]`` where an entry is
-    ``(seq, callback, handle)``; a bare tuple is a singleton bucket
-    (the common case — a timestamp with exactly one event), promoted to
-    a list on the second arrival.  ``_times`` is a min-heap of the
-    distinct timestamps; it may briefly hold stale or duplicate times
-    (after compaction or a mid-bucket stop) — the dict is the source of
-    truth and the drain loops skip times with no bucket.
-
-    ``schedule``/``schedule_at`` always append monotonically increasing
-    sequence numbers, so list buckets are naturally seq-sorted.  Only
-    the cold out-of-band inserts (stop sentinels with negative seqs,
-    snapshot restore with original seqs) can break that; they mark the
-    bucket in ``_dirty_times`` and the drain loop sorts it once before
-    dispatch.
-    """
-
-    backend_name = "bucket"
-
-    __slots__ = ("_buckets", "_times", "_dirty_times", "_dead_hint")
-
-    def __init__(self, backend: Optional[str] = None,
-                 idle_skip: Optional[bool] = None):
-        super().__init__(idle_skip=idle_skip)
-        self._buckets: dict = {}
-        self._times: list[int] = []
-        self._dirty_times: set[int] = set()
-        # Cancellations since the last compaction; an upper bound on
-        # the dead entries still stored (drains consume dead entries
-        # without decrementing it), so compaction may fire early but
-        # never late.
-        self._dead_hint = 0
-
-    # -- scheduling (hot) ----------------------------------------------
-
-    def schedule(self, delay: int, callback: Callable[[], Any],
-                 label: Optional[str] = None, *,
-                 _push=heappush, _new=EventHandle.__new__, _cls=EventHandle) -> EventHandle:
-        """Schedule ``callback`` to run ``delay`` cycles from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule an event in the past (delay={delay})")
-        time = self._now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        handle = _new(_cls)
-        handle.time = time
-        handle.seq = seq
-        handle.callback = callback
-        handle.label = label
-        handle._cancelled = False
-        handle._fired = False
-        handle._engine = self
-        self._pending += 1
-        buckets = self._buckets
-        bucket = buckets.get(time)
-        if bucket is None:
-            buckets[time] = (seq, callback, handle)
-            _push(self._times, time)
-        elif type(bucket) is list:
-            bucket.append((seq, callback, handle))
-        else:
-            buckets[time] = [bucket, (seq, callback, handle)]
-        return handle
-
-    def schedule_at(self, time: int, callback: Callable[[], Any],
-                    label: Optional[str] = None, *,
-                    _push=heappush, _new=EventHandle.__new__, _cls=EventHandle) -> EventHandle:
-        """Schedule ``callback`` to run at absolute time ``time``."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule an event in the past (t={time}, now={self._now})"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        handle = _new(_cls)
-        handle.time = time
-        handle.seq = seq
-        handle.callback = callback
-        handle.label = label
-        handle._cancelled = False
-        handle._fired = False
-        handle._engine = self
-        self._pending += 1
-        buckets = self._buckets
-        bucket = buckets.get(time)
-        if bucket is None:
-            buckets[time] = (seq, callback, handle)
-            _push(self._times, time)
-        elif type(bucket) is list:
-            bucket.append((seq, callback, handle))
-        else:
-            buckets[time] = [bucket, (seq, callback, handle)]
-        return handle
-
-    def _insert_entry(self, time: int, seq: int, callback: Callable[[], Any],
-                      handle: EventHandle) -> None:
-        # Cold path: sentinel/restored seqs arrive out of order, so the
-        # bucket is flagged for a one-time sort before it drains.
-        buckets = self._buckets
-        bucket = buckets.get(time)
-        if bucket is None:
-            buckets[time] = (seq, callback, handle)
-            heappush(self._times, time)
-            return
-        if self._running and time == self._now:
-            # The bucket at the current timestamp may be mid-drain (the
-            # drain index is a loop local, so a sort cannot reorder the
-            # not-yet-dispatched tail).  Honoring fire-before-remaining
-            # semantics for a same-cycle out-of-band insert is
-            # impossible here; no caller does this (stop sentinels are
-            # installed before engine.run(), restores happen on fresh
-            # engines), so refuse loudly rather than misorder.  This is
-            # conservative: it also rejects buckets (re)created during
-            # the current batch, which a singleton drain handles fine.
-            raise SimulationError(
-                f"cannot insert an out-of-band event into the currently "
-                f"dispatching timestamp (t={time})"
-            )
-        if type(bucket) is list:
-            bucket.append((seq, callback, handle))
-        else:
-            buckets[time] = [bucket, (seq, callback, handle)]
-        self._dirty_times.add(time)
-
-    # -- cancellation / compaction -------------------------------------
-
-    def _event_cancelled(self) -> None:
-        pending = self._pending - 1
-        self._pending = pending
-        self._cancelled_count += 1
-        dead = self._dead_hint + 1
-        self._dead_hint = dead
-        if dead > COMPACTION_FLOOR and dead > pending:
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop dead entries from every bucket except the draining one.
-
-        List buckets are filtered *in place* (the drain loop may hold a
-        reference); emptied buckets are deleted and the timestamp heap
-        is rebuilt from the dict keys.  The bucket at the current
-        timestamp is skipped while running: its drain index is a loop
-        local in ``run``/``run_until`` and removal would desync it.
-        """
-        buckets = self._buckets
-        draining = self._now if self._running else None
-        for t in list(buckets):
-            if t == draining:
-                continue
-            bucket = buckets[t]
-            if type(bucket) is not list:
-                if bucket[2]._cancelled:
-                    del buckets[t]
-                continue
-            live = [entry for entry in bucket if not entry[2]._cancelled]
-            if not live:
-                del buckets[t]
-            elif len(live) != len(bucket):
-                bucket[:] = live
-        times = self._times
-        times[:] = list(buckets)
-        heapify(times)
-        self._dirty_times.intersection_update(buckets)
-        self._dead_hint = 0
-        self._compactions += 1
-
-    # -- dispatch (hot) ------------------------------------------------
-
-    def run(self, max_events: Optional[int] = None, *,
-            _pop=heappop, _push=heappush) -> int:
-        """Run until the event queue is empty (or ``max_events`` fired).
-
-        Returns the number of events executed by this call.
-        """
-        executed = 0
-        self._running = True
-        self._stop_requested = False
-        times = self._times
-        buckets = self._buckets
-        get = buckets.get
-        dirty = self._dirty_times
-        now = self._now
-        batches = 0
-        bounded = max_events is not None
-        self._skip_allowed = not bounded
-        self._run_bound = None
-        try:
-            while times:
-                if bounded and executed == max_events:
-                    break
-                t = _pop(times)
-                bucket = get(t)
-                if bucket is None:
-                    continue        # stale duplicate timestamp
-                if type(bucket) is not list:
-                    # Singleton fast path.  The dict entry is removed
-                    # *before* the callback so a reschedule at the same
-                    # timestamp opens a fresh bucket (dispatched on the
-                    # next outer iteration, exactly like the heap).
-                    del buckets[t]
-                    _seq, callback, handle = bucket
-                    if handle._cancelled:
-                        continue
-                    if t != now:
-                        self._now = now = t
-                        batches += 1
-                    handle._fired = True
-                    executed += 1
-                    callback()
-                    if self._stop_requested:
-                        break
-                    continue
-                if dirty and t in dirty:
-                    bucket.sort()
-                    dirty.discard(t)
-                i = 0
-                n = len(bucket)
-                # Skip leading dead entries before touching the clock:
-                # an all-cancelled bucket must not advance time (the
-                # heap pops dead entries without a clock write).
-                while i < n and bucket[i][2]._cancelled:
-                    i += 1
-                if i == n:
-                    del buckets[t]
-                    continue
-                if t != now:
-                    self._now = now = t
-                    batches += 1
-                # The bucket's timestamp is already popped off the
-                # times heap, so its co-timestamped tail is invisible
-                # to _next_pending: close the skip window for the
-                # duration of the batch drain.
-                self._in_batch = True
-                while i < n:
-                    _seq, callback, handle = bucket[i]
-                    i += 1
-                    if handle._cancelled:
-                        if i == n:
-                            n = len(bucket)   # callbacks may have appended
-                        continue
-                    handle._fired = True
-                    executed += 1
-                    callback()
-                    if self._stop_requested or (bounded and executed == max_events):
-                        break
-                    if i == n:
-                        n = len(bucket)
-                self._in_batch = False
-                if i < len(bucket):
-                    # Suspended mid-bucket: keep the undispatched tail
-                    # and requeue the timestamp.
-                    del bucket[:i]
-                    _push(times, t)
-                else:
-                    del buckets[t]
-                if self._stop_requested:
-                    break
-        finally:
-            self._running = False
-            self._skip_allowed = False
-            self._in_batch = False
-            self._events_executed += executed
-            self._pending -= executed
-            self._dispatch_batches += batches
-        return executed
-
-    def run_until(self, time: int, *, _pop=heappop, _push=heappush) -> int:
-        """Run all events with timestamps <= ``time``; advance clock to ``time``.
-
-        Returns the number of events executed by this call.
-        """
-        if time < self._now:
-            raise SimulationError(f"cannot run backwards (t={time}, now={self._now})")
-        executed = 0
-        self._running = True
-        self._stop_requested = False
-        times = self._times
-        buckets = self._buckets
-        get = buckets.get
-        dirty = self._dirty_times
-        now = self._now
-        batches = 0
-        self._skip_allowed = True
-        self._run_bound = time
-        try:
-            while times:
-                t = times[0]
-                if t > time:
-                    break
-                _pop(times)
-                bucket = get(t)
-                if bucket is None:
-                    continue
-                if type(bucket) is not list:
-                    del buckets[t]
-                    _seq, callback, handle = bucket
-                    if handle._cancelled:
-                        continue
-                    if t != now:
-                        self._now = now = t
-                        batches += 1
-                    handle._fired = True
-                    executed += 1
-                    callback()
-                    if self._stop_requested:
-                        break
-                    continue
-                if dirty and t in dirty:
-                    bucket.sort()
-                    dirty.discard(t)
-                i = 0
-                n = len(bucket)
-                while i < n and bucket[i][2]._cancelled:
-                    i += 1
-                if i == n:
-                    del buckets[t]
-                    continue
-                if t != now:
-                    self._now = now = t
-                    batches += 1
-                self._in_batch = True
-                while i < n:
-                    _seq, callback, handle = bucket[i]
-                    i += 1
-                    if handle._cancelled:
-                        if i == n:
-                            n = len(bucket)
-                        continue
-                    handle._fired = True
-                    executed += 1
-                    callback()
-                    if self._stop_requested:
-                        break
-                    if i == n:
-                        n = len(bucket)
-                self._in_batch = False
-                if i < len(bucket):
-                    del bucket[:i]
-                    _push(times, t)
-                else:
-                    del buckets[t]
-                if self._stop_requested:
-                    break
-        finally:
-            self._running = False
-            self._skip_allowed = False
-            self._in_batch = False
-            self._events_executed += executed
-            self._pending -= executed
-            self._dispatch_batches += batches
-        if not self._stop_requested:
-            self._now = max(self._now, time)
-        return executed
-
-    def step(self) -> bool:
-        """Execute the next pending event.
-
-        Returns True if an event was executed, False if the queue was
-        exhausted (only cancelled or no events remained).
-        """
-        times = self._times
-        buckets = self._buckets
-        dirty = self._dirty_times
-        while times:
-            t = times[0]
-            bucket = buckets.get(t)
-            if bucket is None:
-                heappop(times)
-                continue
-            if type(bucket) is not list:
-                heappop(times)
-                del buckets[t]
-                entry = bucket
-            else:
-                if t in dirty:
-                    bucket.sort()
-                    dirty.discard(t)
-                entry = bucket[0]
-                del bucket[0]
-                if not bucket:
-                    heappop(times)
-                    del buckets[t]
-            handle = entry[2]
-            if handle._cancelled:
-                continue
-            if t != self._now:
-                self._now = t
-                self._dispatch_batches += 1
-            handle._fired = True
-            self._pending -= 1
-            self._events_executed += 1
-            entry[1]()
-            return True
-        return False
-
-    # -- introspection -------------------------------------------------
-
-    @property
-    def heap_depth(self) -> int:
-        return sum(1 if type(bucket) is not list else len(bucket)
-                   for bucket in self._buckets.values())
-
-    def _next_pending(self) -> Optional[EventHandle]:
-        times = self._times
-        buckets = self._buckets
-        dirty = self._dirty_times
-        while times:
-            t = times[0]
-            bucket = buckets.get(t)
-            if bucket is None:
-                heappop(times)
-                continue
-            if type(bucket) is not list:
-                if bucket[2]._cancelled:
-                    heappop(times)
-                    del buckets[t]
-                    continue
-                return bucket[2]
-            if t in dirty:
-                bucket.sort()
-                dirty.discard(t)
-            while bucket and bucket[0][2]._cancelled:
-                del bucket[0]
-            if not bucket:
-                heappop(times)
-                del buckets[t]
-                continue
-            return bucket[0][2]
-        return None
-
-    def live_entries(self) -> list[tuple[int, int, EventHandle]]:
-        entries = []
-        for t, bucket in self._buckets.items():
-            if type(bucket) is not list:
-                if not bucket[2]._cancelled:
-                    entries.append((t, bucket[0], bucket[2]))
-            else:
-                entries.extend((t, entry[0], entry[2])
-                               for entry in bucket if not entry[2]._cancelled)
-        entries.sort()
-        return entries
-
-
-#: Registry of selectable queue backends.
-QUEUE_BACKENDS: dict[str, type] = {
-    "heap": HeapQueueEngine,
-    "bucket": BucketQueueEngine,
-    "array": ArrayQueueEngine,
-}
+    """The engine's queue name (``explicit`` is accepted for callers
+    that pass ``None``; there is nothing to choose between)."""
+    return SimulationEngine.backend_name

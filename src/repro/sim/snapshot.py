@@ -192,8 +192,8 @@ def capture_world(world: Any,
                                    ("snapshot_state",
                                     "restore_from_snapshot"))
     if getattr(engine, "_running", False):
-        # Mid-dispatch the queue backends hold loop-local drain state
-        # (and counters are batched per run), so live_entries()/counters
+        # Mid-dispatch the engine holds loop-local dispatch state (and
+        # counters are batched per run), so live_entries()/counters
         # would be inconsistent; capture only between runs.
         raise SnapshotError(
             f"cannot capture {type(world).__qualname__} while its engine "

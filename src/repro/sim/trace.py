@@ -181,8 +181,8 @@ class TraceRecorder:
         """Stable SHA-256 over the canonical JSON of all retained events.
 
         Two recorders that captured the same simulation have the same
-        digest; the queue-backend A/B tests use this to prove the
-        backends produce byte-identical executions.
+        digest; the idle-skip on/off tests use this to prove two runs
+        produced byte-identical executions.
         """
         payload = json.dumps(
             [(ev.time, ev.kind.value, ev.data) for ev in self._events],

@@ -87,8 +87,8 @@ def collect_engine(registry: MetricsRegistry, engine: Any,
     ).labels(**labels).set(engine.now)
     registry.gauge(
         "sim_queue_backend_info",
-        "Queue backend selected for this engine (info gauge: value 1, "
-        "backend carried in the label)",
+        "Event queue of this engine (info gauge: value 1, queue name "
+        "carried in the backend label)",
         ("run", "backend"),
     ).labels(run=run, backend=getattr(engine, "backend_name", "unknown")).set(1)
     registry.counter(

@@ -1,13 +1,12 @@
 """The bench-history diff tool: table-driven section checks.
 
 ``benchmarks/compare_bench.py`` diffs the last two records of a
-``BENCH_experiments.json``.  These tests pin the behaviour of the
-``engine_ab`` check added with the array backend — a drop in the array
-backend's dispatch-storm rate (or its speedup over bucket) is flagged,
-while history written before those fields existed is skipped with a
-note instead of misreported — and the ``engine_subtree_ab`` check
-added with subtree scheduling (throughput, speedup, and
-retained-memory-ratio regressions).
+``BENCH_experiments.json``.  These tests pin the ``engine`` check's
+queue-name guard (history written before the single heap queue says
+``bucket``, and is skipped rather than misreported) and the
+``engine_subtree_ab`` check added with subtree scheduling (throughput,
+speedup, and retained-memory-ratio regressions, and the skip note for
+history that predates the section).
 """
 
 from __future__ import annotations
@@ -25,78 +24,33 @@ sys.modules.setdefault("compare_bench", compare_bench)
 _spec.loader.exec_module(compare_bench)
 
 
-def _engine_ab(array_storm: float, speedup: float) -> dict:
-    return {
-        "baseline": "legacy",
-        "winner": "array",
-        "improvement_vs_legacy": 0.25,
-        "events_per_second": {"legacy": 650_000.0, "heap": 730_000.0,
-                              "bucket": 800_000.0, "array": 815_000.0},
-        "storm_events_per_second": {"legacy": 700_000.0,
-                                    "heap": 830_000.0,
-                                    "bucket": 1_200_000.0,
-                                    "array": array_storm},
-        "array_dispatch_speedup_vs_bucket": speedup,
-    }
+def _engine_run(backend: str, events_per_second: float) -> dict:
+    return {"scale": "smoke", "jobs": 1,
+            "experiment_wall_seconds": {"fig6a": 1.0},
+            "engine": {"backend": backend,
+                       "events_per_second": events_per_second}}
 
 
-def _run(engine_ab: "dict | None") -> dict:
-    record = {"scale": "smoke", "jobs": 1,
-              "experiment_wall_seconds": {"fig6a": 1.0}}
-    if engine_ab is not None:
-        record["engine_ab"] = engine_ab
-    return record
-
-
-def _engine_ab_check() -> "compare_bench.CheckSpec":
+def _engine_check() -> "compare_bench.CheckSpec":
     return next(check for check in compare_bench.CHECKS
-                if check.key == "engine_ab")
+                if check.key == "engine")
 
 
-def test_array_storm_drop_is_flagged():
-    check = _engine_ab_check()
-    lines, regressed = check.run(
-        _run(_engine_ab(3_300_000.0, 2.75)),
-        _run(_engine_ab(1_500_000.0, 1.25)),
-        threshold=0.20,
-    )
+def test_engine_check_skips_history_from_another_queue():
+    lines, regressed = _engine_check().run(
+        _engine_run("bucket", 1_000_000.0), _engine_run("heap", 500_000.0),
+        threshold=0.20)
+    assert not regressed
+    assert lines == ["  engine throughput: backends differ (bucket vs heap) "
+                     "— not comparable, skipping."]
+
+
+def test_engine_check_flags_throughput_drop():
+    lines, regressed = _engine_check().run(
+        _engine_run("heap", 1_000_000.0), _engine_run("heap", 500_000.0),
+        threshold=0.20)
     assert regressed
-    assert any("dispatch throughput regression" in line for line in lines)
-    assert any("speedup regression" in line for line in lines)
-
-
-def test_array_storm_steady_passes():
-    check = _engine_ab_check()
-    lines, regressed = check.run(
-        _run(_engine_ab(3_300_000.0, 2.75)),
-        _run(_engine_ab(3_250_000.0, 2.70)),
-        threshold=0.20,
-    )
-    assert not regressed
-    assert any("array storm" in line for line in lines)
-
-
-def test_history_predating_storm_fields_skips_with_note():
-    check = _engine_ab_check()
-    # An engine_ab section from before the storm phase existed.
-    old = _engine_ab(0.0, 0.0)
-    del old["storm_events_per_second"]
-    del old["array_dispatch_speedup_vs_bucket"]
-    old["events_per_second"] = {"legacy": 650_000.0, "heap": 730_000.0,
-                                "bucket": 800_000.0}
-    lines, regressed = check.run(
-        _run(old), _run(_engine_ab(3_300_000.0, 2.75)), threshold=0.20)
-    assert not regressed
-    assert lines == ["  queue-backend A/B: previous run predates the "
-                     "array backend's storm fields, skipping."]
-
-
-def test_history_missing_section_skips_with_note():
-    check = _engine_ab_check()
-    lines, regressed = check.run(
-        _run(None), _run(_engine_ab(3_300_000.0, 2.75)), threshold=0.20)
-    assert not regressed
-    assert "predates engine_ab" in lines[0]
+    assert any("throughput regression" in line for line in lines)
 
 
 def _subtree_ab(nodes_per_second: float, speedup: float,
@@ -165,17 +119,17 @@ def test_history_predating_subtree_ab_skips_with_note():
     assert "predates engine_subtree_ab" in lines[0]
 
 
-def test_full_diff_reports_array_fields(tmp_path, capsys):
+def test_full_diff_reports_subtree_fields(tmp_path, capsys):
     history = {"runs": [
-        dict(_run(_engine_ab(3_300_000.0, 2.75)),
+        dict(_subtree_run(_subtree_ab(140.0, 5.2, 10.8)),
              total_wall_seconds=1.0, timestamp="2026-08-08T00:00:00Z"),
-        dict(_run(_engine_ab(3_400_000.0, 2.80)),
+        dict(_subtree_run(_subtree_ab(142.0, 5.3, 10.9)),
              total_wall_seconds=1.0, timestamp="2026-08-08T01:00:00Z"),
     ]}
     path = tmp_path / "BENCH_experiments.json"
     path.write_text(json.dumps(history))
     assert compare_bench.main(["--file", str(path)]) == 0
     out = capsys.readouterr().out
-    assert "array storm" in out
-    assert "array dispatch speedup" in out
+    assert "subtree schedule" in out
+    assert "subtree memory ratio" in out
     assert "no regressions beyond threshold." in out

@@ -1,31 +1,26 @@
 """Property-based tests of the discrete-event engine's invariants.
 
-The engine's hot paths are aggressively tuned (tuple queue entries,
+The engine's hot paths are aggressively tuned (tuple heap entries,
 inlined dispatch loops, an O(1) pending counter maintained across lazy
-cancellation) and pluggable (heap and bucket queue backends, see
-:mod:`repro.sim.queue`), so these hypothesis tests pin down the
-semantics every backend must preserve:
+cancellation), so these hypothesis tests pin down the semantics the
+tuning must preserve:
 
 * events fire in (time, insertion order) — FIFO among simultaneous
   events — for *any* schedule;
 * cancelled events never fire, no matter how cancellation interleaves
   with scheduling and execution;
 * ``pending_events`` always equals the brute-force count of live
-  handles, even though cancelled entries linger in storage until
+  handles, even though cancelled entries linger in the heap until
   drained or compacted.
 
-Each test runs against every registered backend.  The deeper
-cross-backend equivalence (identical traces, CSVs, snapshot digests)
-lives in ``tests/test_queue_backends.py``.
+Whole random programs (stops, stop sentinels, bounded runs, mid-run
+compaction) are checked against a sorted-list reference engine in
+``tests/test_engine_reference.py``.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import SimulationEngine
-from repro.sim.queue import QUEUE_BACKENDS
-
-pytestmark = pytest.mark.parametrize("backend", sorted(QUEUE_BACKENDS))
 
 
 def _live_entry_count(engine: SimulationEngine) -> int:
@@ -36,9 +31,9 @@ def _live_entry_count(engine: SimulationEngine) -> int:
 @settings(deadline=None)
 @given(delays=st.lists(st.integers(min_value=0, max_value=20),
                        min_size=1, max_size=60))
-def test_fifo_ordering_for_any_schedule(backend, delays):
+def test_fifo_ordering_for_any_schedule(delays):
     """Execution order is (time, insertion seq) — stable FIFO."""
-    engine = SimulationEngine(backend=backend)
+    engine = SimulationEngine()
     fired = []
     expected = []
     for index, delay in enumerate(delays):
@@ -56,9 +51,9 @@ def test_fifo_ordering_for_any_schedule(backend, delays):
     st.tuples(st.integers(min_value=0, max_value=20), st.booleans()),
     min_size=1, max_size=60,
 ))
-def test_cancelled_events_never_fire(backend, plan):
+def test_cancelled_events_never_fire(plan):
     """Lazy cancellation: cancelled handles are skipped, order kept."""
-    engine = SimulationEngine(backend=backend)
+    engine = SimulationEngine()
     fired = []
     handles = []
     for index, (delay, _) in enumerate(plan):
@@ -91,15 +86,15 @@ _OPS = st.one_of(
 
 @settings(deadline=None)
 @given(ops=st.lists(_OPS, min_size=1, max_size=80))
-def test_pending_counter_matches_brute_force(backend, ops):
+def test_pending_counter_matches_brute_force(ops):
     """The O(1) counter tracks interleaved schedule/cancel/step exactly.
 
     Regression test for the heap-scan elimination: the seed engine
     recomputed ``pending_events`` by scanning the heap on every access,
     and the counter replacing the scan must stay consistent while
-    cancelled entries are still sitting in backend storage.
+    cancelled entries are still sitting in the heap.
     """
-    engine = SimulationEngine(backend=backend)
+    engine = SimulationEngine()
     live = []
     for op in ops:
         if op == "cancel":
