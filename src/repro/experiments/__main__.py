@@ -63,15 +63,12 @@ from repro.experiments.fig6 import render_fig6
 from repro.experiments.fig7 import render_fig7
 from repro.experiments.overhead import render_overhead
 from repro.experiments.runner import (
-    SCHEDULES,
     CampaignTelemetry,
     run_campaign,
     write_bench_json,
 )
 from repro.experiments.scale import resolve_scale
 from repro.sim.engine import ENV_IDLE_SKIP
-from repro.sim.snapshot import SnapshotError
-from repro.sim.worldstore import ENV_STORE_BUDGET, parse_store_budget
 from repro.experiments.sweep import render_cycle_sweep, render_dmin_sweep
 from repro.experiments.validation import render_validation
 
@@ -83,6 +80,17 @@ ALIASES = {
     "all": EXPERIMENTS,
     "fig6": ("fig6a", "fig6b", "fig6c"),
 }
+
+
+def _parse_jobs(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"worker count must be a positive integer, got {text!r}")
+    return value
 
 
 def _render_one(name: str, result, export_dir: "str | None") -> str:
@@ -271,7 +279,8 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("--seed", type=int, default=1,
                         help="base random seed (default 1); per-task seeds "
                              "are derived as seed + task index")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
+    parser.add_argument("--jobs", type=_parse_jobs, default=None,
+                        metavar="N",
                         help="worker processes for the campaign "
                              "(default: os.cpu_count(); 1 = serial, "
                              "in-process)")
@@ -319,33 +328,10 @@ def main(argv: "list[str] | None" = None) -> int:
                              "results are byte-identical either way, only "
                              "speed differs (default: $REPRO_IDLE_SKIP or "
                              "enabled)")
-    parser.add_argument("--schedule", metavar="NAME", default="subtree",
-                        choices=sorted(SCHEDULES),
-                        help="campaign scheduling strategy: 'subtree' "
-                             "(default) assigns each dependency chain to one "
-                             "worker so parent snapshots cross the pool "
-                             "boundary once; 'wave' dispatches topological "
-                             "waves, re-shipping the parent to every child; "
-                             "results are byte-identical either way")
-    parser.add_argument("--store-budget", metavar="BYTES", default=None,
-                        help="resident-bytes budget for the layered world "
-                             "store (accepts k/m/g suffixes, e.g. 256k); "
-                             "cold fragments beyond it spill to disk and "
-                             "fault back transparently (default: "
-                             "$REPRO_STORE_BUDGET or unlimited); results "
-                             "are byte-identical either way")
     args = parser.parse_args(arguments)
 
     if args.no_idle_skip:
         os.environ[ENV_IDLE_SKIP] = "0"
-    if args.store_budget is not None:
-        try:
-            parse_store_budget(args.store_budget)
-        except SnapshotError as exc:
-            parser.error(str(exc))
-        # Via the environment so campaign worker processes (and every
-        # lazily created store, including default_store) inherit it.
-        os.environ[ENV_STORE_BUDGET] = args.store_budget
 
     names = ALIASES.get(args.experiment, (args.experiment,))
     scale = resolve_scale(quick=args.quick, smoke=args.smoke)
@@ -383,7 +369,7 @@ def main(argv: "list[str] | None" = None) -> int:
                               cache=cache, telemetry=telemetry,
                               progress=progress,
                               shared_prefix=not args.no_shared_prefix,
-                              store=store, schedule=args.schedule)
+                              store=store)
         output = _render_one(name, merged[name], args.export)
         elapsed = time.perf_counter() - started
         experiment_seconds[name] = elapsed
@@ -421,14 +407,12 @@ def main(argv: "list[str] | None" = None) -> int:
             measure_engine_throughput,
             measure_fork_ab,
             measure_idle_ab,
-            measure_subtree_ab,
         )
         from repro.store.benchmark import measure_store_ab
 
         engine = measure_engine_throughput()
         engine_idle_ab = measure_idle_ab()
         engine_fork_ab = measure_fork_ab()
-        engine_subtree_ab = measure_subtree_ab()
         analysis = measure_analysis_speedup()
         store_ab = measure_store_ab()
         record = write_bench_json(
@@ -437,7 +421,6 @@ def main(argv: "list[str] | None" = None) -> int:
             experiment_seconds=experiment_seconds, engine=engine,
             engine_idle_ab=engine_idle_ab,
             engine_fork_ab=engine_fork_ab,
-            engine_subtree_ab=engine_subtree_ab,
             analysis=analysis,
             cache=cache.stats if cache is not None else None,
             telemetry=telemetry,
@@ -445,7 +428,6 @@ def main(argv: "list[str] | None" = None) -> int:
         )
         idle = record["engine_idle_ab"]
         fork = record["engine_fork_ab"]
-        subtree = record["engine_subtree_ab"]
         store_rec = record["store_ab"]
         print(f"[bench] engine {record['engine']['events_per_second']:,.0f} "
               f"events/s (backend={record['engine']['backend']}); "
@@ -454,10 +436,6 @@ def main(argv: "list[str] | None" = None) -> int:
               f"layered forks {fork['speedup']:.1f}x "
               f"({fork['memory_ratio']:.1f}x less memory over "
               f"{fork['branches']} branches); "
-              f"subtree schedule {subtree['speedup']:.1f}x "
-              f"({subtree['memory_ratio']:.1f}x less peak memory over "
-              f"{subtree['branches']} branches, "
-              f"{subtree['spilled_fragments']} fragments spilled); "
               f"analysis memoization "
               f"{record['analysis']['speedup']:.1f}x; "
               f"store capture {store_rec['write_ratio']:+.1%} write ratio "

@@ -26,20 +26,12 @@ order, ``run_campaign(..., jobs=N)`` is **byte-identical** to
 
 Tasks that fork a shared snapshot (fig7 cases, d_min points) declare
 the snapshot task in ``needs`` and receive its result through the
-``feed`` kwarg.  Two schedules resolve those dependencies:
-
-* ``wave`` executes the list in topological waves (:func:`_task_waves`)
-  — every forked task re-pickles its parent snapshot across the pool
-  boundary, once per child;
-* ``subtree`` (the default) groups each connected ``needs`` chain into
-  one per-worker assignment (:func:`plan_subtrees`): the worker
-  receives the subtree root once and walks the descendants against the
-  shared layered world store, so intermediate worlds are never
-  re-pickled.  Parent result digests are still folded into cache
-  fingerprints inside the worker, so incremental re-runs stay exact.
-
-Either way dependencies never reach a worker unresolved, and the
-byte-identity contract extends across the whole task list.
+``feed`` kwarg.  One executor (:func:`_run_tasks`) runs the list in
+topological waves (:func:`_task_waves`): a forked task starts once its
+parent's wave has finished, as an independent work item that carries
+the parent snapshot with it.  Dependencies therefore never reach a
+worker unresolved, and the byte-identity contract extends across the
+whole task list.
 
 Workload generation inside the workers is cheap and deterministic
 (:mod:`repro.workloads` memoizes interarrival arrays and traces), so
@@ -53,6 +45,7 @@ runs inside the task.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -113,8 +106,9 @@ class CampaignTask:
     Most tasks are independent; a *forked* task additionally names the
     campaign-wide indices of the tasks it ``needs`` finished first (its
     snapshot parents) and the kwarg (``feed``) through which the first
-    parent's result is injected before dispatch.  The runner executes
-    the task list in dependency waves; within a wave the ordered-merge
+    parent's result is injected before dispatch.  The executor runs the
+    task list in dependency waves, each forked task as its own work
+    item; results keep their task-list positions, so the ordered-merge
     byte-identity contract is unchanged.
     """
 
@@ -155,13 +149,6 @@ def execute_task(task: CampaignTask) -> Any:
     return TASK_FUNCTIONS[task.kind](**task.kwargs)
 
 
-def execute_task_timed(task: CampaignTask) -> "tuple[Any, float]":
-    """Run one task and report its compute time (for cache entries)."""
-    started = time.perf_counter()
-    result = execute_task(task)
-    return result, time.perf_counter() - started
-
-
 @dataclass
 class TaskTelemetry:
     """Execution record of one campaign task (for ``--metrics-json``)."""
@@ -181,9 +168,8 @@ class CampaignTelemetry:
     """Aggregated runner telemetry for one ``run_campaign`` call.
 
     Filled in-place when passed to :func:`run_campaign`; purely
-    observational — the instrumented execution path preserves the
-    byte-identity guarantee (ordered ``imap`` over the same task list,
-    merges still consume results in task order).
+    observational — recording it changes neither the execution path
+    nor the order in which merges consume results.
     """
 
     jobs: int = 1
@@ -227,20 +213,24 @@ class CampaignTelemetry:
         }
 
 
-def _execute_task_profiled(item: "tuple[CampaignTask, float]",
-                           ) -> "tuple[Any, float, float, int]":
-    """Pool target for instrumented runs: result + timing + worker pid.
+def _execute_item(item: "tuple[CampaignTask, float]",
+                  ) -> "tuple[Any, float, float, int]":
+    """Run one work item: ``(task, epoch) -> (result, pickup, elapsed, pid)``.
 
+    ``pickup`` is the start instant relative to ``epoch`` (the
+    executor call's start), ``elapsed`` the compute time.
     ``time.monotonic`` is a system-wide clock on the supported
-    platforms, so offsets against the parent's campaign epoch are
-    meaningful inside fork/spawn workers.
+    platforms, so offsets against the parent's epoch are meaningful
+    inside fork/spawn workers.
     """
     task, epoch = item
-    pickup_offset = time.monotonic() - epoch
+    pickup = time.monotonic() - epoch
     started = time.perf_counter()
     result = execute_task(task)
-    elapsed = time.perf_counter() - started
-    return result, pickup_offset, elapsed, os.getpid()
+    return result, pickup, time.perf_counter() - started, os.getpid()
+
+
+_execute_subtree = _execute_item  # name perfbench/traced_campaign.py wraps
 
 
 def plan_experiment(name: str, scale: ExperimentScale, seed: int,
@@ -433,21 +423,6 @@ def _materialize(task: CampaignTask, results: "list") -> CampaignTask:
     return CampaignTask(task.experiment, task.kind, kwargs)
 
 
-def _run_tasks(tasks: "list[CampaignTask]", jobs: int) -> "list":
-    """Execute tasks in dependency waves, in-process or over a pool."""
-    results: "list[Any]" = [None] * len(tasks)
-    for wave in _task_waves(tasks):
-        wave_tasks = [_materialize(tasks[index], results) for index in wave]
-        if jobs <= 1 or len(wave_tasks) <= 1:
-            wave_results = [execute_task(task) for task in wave_tasks]
-        else:
-            with _pool_context().Pool(min(jobs, len(wave_tasks))) as pool:
-                wave_results = pool.map(execute_task, wave_tasks, chunksize=1)
-        for index, result in zip(wave, wave_results):
-            results[index] = result
-    return results
-
-
 def _record_task(telemetry: "CampaignTelemetry | None",
                  progress: "Callable[[int, int, CampaignTask], None] | None",
                  task: CampaignTask, index: int, done: int, total: int, *,
@@ -463,321 +438,86 @@ def _record_task(telemetry: "CampaignTelemetry | None",
         progress(done, total, task)
 
 
-def _run_tasks_instrumented(
-    tasks: "list[CampaignTask]", jobs: int,
-    telemetry: "CampaignTelemetry | None",
-    progress: "Callable[[int, int, CampaignTask], None] | None",
-    epoch: "float | None" = None,
-) -> "list":
-    """Like :func:`_run_tasks`, recording per-task telemetry.
+def _run_tasks(tasks: "list[CampaignTask]", jobs: int,
+               cache: "ResultCache | None" = None,
+               telemetry: "CampaignTelemetry | None" = None,
+               progress: "Callable[[int, int, CampaignTask], None] | None"
+               = None,
+               epoch: "float | None" = None) -> "list":
+    """Execute tasks in dependency waves, in-process or over one pool.
 
-    Uses ``pool.imap`` (ordered) so results arrive — and merges later
-    consume them — in exactly the task-list order of the plain path;
-    only timing observation differs.  Queue waits are measured against
-    this call's start; started offsets against ``epoch`` (the shared
-    campaign epoch), so worker timelines stay monotone when several
-    campaigns feed one telemetry object.
-    """
-    call_started = time.monotonic()
-    base = 0.0 if epoch is None else call_started - epoch
-    results: "list[Any]" = [None] * len(tasks)
-    total = len(tasks)
-    done = 0
-    for wave in _task_waves(tasks):
-        items = [(_materialize(tasks[index], results), call_started)
-                 for index in wave]
+    Per wave, the parent replays cache hits first; each key folds in
+    the digests of the task's parents, computed on first use and
+    memoized per index, so a fork parent is digested at most once and
+    no other result ever is.  The misses then run through
+    :func:`_execute_item`: in-process when ``jobs <= 1`` or the wave
+    has a single miss, otherwise over ordered ``imap`` on one pool,
+    opened on the first parallel wave and reused for the rest of the
+    call.  Results land at their task indices, so merges see the same
+    order on every path; a fully warm run starts no pool at all.
 
-        def consume(profiled_iter: "Any") -> None:
-            nonlocal done
-            for position, (result, offset, elapsed, pid) in enumerate(
-                    profiled_iter):
-                index = wave[position]
-                results[index] = result
-                done += 1
-                _record_task(telemetry, progress, tasks[index], index,
-                             done, total, cached=False, wall=elapsed,
-                             wait=offset, offset=base + offset, pid=pid)
-
-        if jobs <= 1 or len(items) <= 1:
-            consume(map(_execute_task_profiled, items))
-        else:
-            with _pool_context().Pool(min(jobs, len(items))) as pool:
-                consume(pool.imap(_execute_task_profiled, items, chunksize=1))
-    return results
-
-
-def _run_tasks_cached(
-    tasks: "list[CampaignTask]", jobs: int, cache: ResultCache,
-    telemetry: "CampaignTelemetry | None" = None,
-    progress: "Callable[[int, int, CampaignTask], None] | None" = None,
-    epoch: "float | None" = None,
-) -> "list":
-    """Replay cached task results; compute and store only the misses.
-
-    Fingerprints and stored pickles fully determine each result (see
-    :mod:`repro.experiments.cache`), so a partial or fully warm run is
-    byte-identical to a cold one; when every task hits, no worker pool
-    is spawned at all.
+    Queue waits are measured against this call's start; started
+    offsets against ``epoch`` (the shared campaign epoch), so worker
+    timelines stay monotone when several campaigns feed one telemetry
+    object.
     """
     call_started = time.monotonic()
     base = 0.0 if epoch is None else call_started - epoch
     total = len(tasks)
+    results: "list[Any]" = [None] * total
+    digests: "dict[int, str]" = {}
     done = 0
-    results: "list[Any]" = [None] * len(tasks)
-    for wave in _task_waves(tasks):
-        # Keys are computed per wave so a forked task's fingerprint can
-        # fold in the digests of its parents' (just-resolved) results.
-        keys: "dict[int, str]" = {}
-        miss_indices: "list[int]" = []
-        for index in wave:
-            task = tasks[index]
-            parents = tuple(result_digest(results[need])
-                            for need in task.needs)
-            keys[index] = task_fingerprint(task, parent_digests=parents)
-            entry = cache.load(keys[index])
-            if entry is not None:
-                results[index] = entry.result
-                done += 1
-                _record_task(telemetry, progress, tasks[index], index, done,
-                             total, cached=True, wall=0.0, wait=0.0,
-                             offset=base + time.monotonic() - call_started,
-                             pid=os.getpid())
-            else:
-                miss_indices.append(index)
-        if not miss_indices:
-            continue
-        miss_tasks = [_materialize(tasks[index], results)
-                      for index in miss_indices]
-        instrumented = telemetry is not None or progress is not None
-        if instrumented:
-            items = [(task, call_started) for task in miss_tasks]
 
-            def consume(profiled_iter: "Any") -> "list[tuple[Any, float]]":
-                nonlocal done
-                timed = []
-                for position, (result, offset, elapsed, pid) in enumerate(
-                        profiled_iter):
-                    index = miss_indices[position]
-                    timed.append((result, elapsed))
-                    done += 1
-                    _record_task(telemetry, progress, tasks[index], index,
-                                 done, total, cached=False, wall=elapsed,
-                                 wait=offset, offset=base + offset, pid=pid)
-                return timed
+    def parent_digest(index: int) -> str:
+        if index not in digests:
+            digests[index] = result_digest(results[index])
+        return digests[index]
 
-            if jobs <= 1 or len(miss_tasks) <= 1:
-                timed = consume(map(_execute_task_profiled, items))
-            else:
-                with _pool_context().Pool(min(jobs, len(miss_tasks))) as pool:
-                    timed = consume(
-                        pool.imap(_execute_task_profiled, items, chunksize=1)
-                    )
-        elif jobs <= 1 or len(miss_tasks) <= 1:
-            timed = [execute_task_timed(task) for task in miss_tasks]
-        else:
-            with _pool_context().Pool(min(jobs, len(miss_tasks))) as pool:
-                timed = pool.map(execute_task_timed, miss_tasks, chunksize=1)
-        for index, (result, elapsed) in zip(miss_indices, timed):
-            cache.store(keys[index], tasks[index], result, elapsed)
-            results[index] = result
-    return results
-
-
-#: Valid ``run_campaign(schedule=...)`` values.
-SCHEDULES = ("subtree", "wave")
-
-
-def plan_subtrees(tasks: "list[CampaignTask]",
-                  include: "Sequence[int] | None" = None,
-                  ) -> "list[list[int]]":
-    """Group task indices into dependency-connected subtrees.
-
-    Every ``needs`` edge joins its two endpoints into the same group;
-    independent tasks become singleton groups.  Each group lists its
-    indices in ascending task-list order — ``needs`` always point to
-    earlier indices, so that order is a valid execution order — and
-    the groups themselves are ordered by their first task, keeping the
-    scatter (and the merges that consume it) deterministic.
-
-    ``include`` restricts planning to a subset of indices (the cache
-    misses of a warm run); edges to excluded tasks are ignored — their
-    results are already resolved and get injected into the subtree.
-    """
-    members = sorted(range(len(tasks)) if include is None else include)
-    member_set = set(members)
-    parent = {index: index for index in members}
-
-    def find(index: int) -> int:
-        root = index
-        while parent[root] != root:
-            root = parent[root]
-        while parent[index] != root:
-            parent[index], index = root, parent[index]
-        return root
-
-    for index in members:
-        for need in tasks[index].needs:
-            if not 0 <= need < index:
-                raise ValueError(
-                    f"subtree scheduling requires dependencies that point "
-                    f"to earlier tasks; task {index} needs {need}")
-            if need in member_set:
-                parent[find(need)] = find(index)
-    groups: "dict[int, list[int]]" = {}
-    for index in members:
-        groups.setdefault(find(index), []).append(index)
-    return sorted(groups.values(), key=lambda group: group[0])
-
-
-def _execute_subtree(item: "tuple") -> "tuple[list, list, Any]":
-    """Pool target running one whole subtree inside a single worker.
-
-    The subtree root's injected parents crossed the process boundary
-    exactly once, in ``item``; every descendant then forks from the
-    *live* result of its parent task — for snapshot chains that means
-    `fork_snapshot`/`fork_warm_variant` against the worker's shared
-    layered store, never a re-pickle of an intermediate world.
-
-    With a cache directory the worker replays hits and stores misses
-    itself (`ResultCache` writes are atomic and concurrent-safe), with
-    parent digests folded into each fingerprint from the *local*
-    results — snapshot-bearing results digest over canonical plain
-    data, so the fingerprints match the wave path's exactly.  Keys the
-    parent already probed (and missed) arrive precomputed in
-    ``known_keys`` so the miss is not double-counted.
-    """
-    (indices, subtree_tasks, injected, injected_digests, known_keys,
-     epoch, cache_dir) = item
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
-    results: "dict[int, Any]" = dict(injected)
-    digests: "dict[int, str]" = dict(injected_digests)
-    meta: "list[tuple[bool, float, float, int]]" = []
-    pid = os.getpid()
-
-    def need_digest(need: int) -> str:
-        if need not in digests:
-            digests[need] = result_digest(results[need])
-        return digests[need]
-
-    for position, index in enumerate(indices):
-        task = subtree_tasks[position]
-        pickup = time.monotonic() - epoch
-        key = None
-        if cache is not None:
-            key = known_keys.get(index)
-            if key is None:
-                parents = tuple(need_digest(need) for need in task.needs)
-                key = task_fingerprint(task, parent_digests=parents)
-                entry = cache.load(key)
-                if entry is not None:
-                    results[index] = entry.result
-                    meta.append((True, pickup, 0.0, pid))
-                    continue
-        run_task = task
-        if task.needs and task.feed is not None:
-            kwargs = dict(task.kwargs)
-            kwargs[task.feed] = results[task.needs[0]]
-            run_task = CampaignTask(task.experiment, task.kind, kwargs)
-        started = time.perf_counter()
-        result = execute_task(run_task)
-        elapsed = time.perf_counter() - started
-        if cache is not None:
-            cache.store(key, task, result, elapsed)
-        results[index] = result
-        meta.append((False, pickup, elapsed, pid))
-    return ([results[index] for index in indices], meta,
-            cache.stats if cache is not None else None)
-
-
-def _merge_cache_stats(into: "Any", delta: "Any") -> None:
-    """Fold a worker cache handle's counters into the parent's."""
-    for name in ("hits", "misses", "stores", "invalidations", "bytes_read",
-                 "bytes_written", "saved_seconds", "computed_seconds"):
-        setattr(into, name, getattr(into, name) + getattr(delta, name))
-
-
-def _run_tasks_subtree(
-    tasks: "list[CampaignTask]", jobs: int,
-    telemetry: "CampaignTelemetry | None" = None,
-    progress: "Callable[[int, int, CampaignTask], None] | None" = None,
-    epoch: "float | None" = None,
-    cache: "ResultCache | None" = None,
-) -> "list":
-    """Execute tasks as per-worker subtree assignments.
-
-    With a cache, the parent first replays every hit it can resolve in
-    dependency order (a fully warm run therefore spawns no pool at
-    all, exactly like the wave path); the remaining misses are grouped
-    into subtrees whose already-resolved parents are injected into the
-    work item.  Each subtree then runs start-to-finish inside one
-    worker, and results scatter back to their campaign indices — so
-    merges consume them in the same fixed order as every other path.
-    """
-    call_started = time.monotonic()
-    base = 0.0 if epoch is None else call_started - epoch
-    total = len(tasks)
-    done = 0
-    results: "list[Any]" = [None] * len(tasks)
-    resolved_digests: "dict[int, str]" = {}
-    known_keys: "dict[int, str]" = {}
-    pending = set(range(len(tasks)))
-    if cache is not None:
-        for index, task in enumerate(tasks):
-            if any(need in pending for need in task.needs):
-                continue        # an ancestor missed; must execute
-            parents = tuple(resolved_digests[need] for need in task.needs)
-            key = task_fingerprint(task, parent_digests=parents)
-            entry = cache.load(key)
-            if entry is None:
-                known_keys[index] = key
-                continue
-            results[index] = entry.result
-            resolved_digests[index] = result_digest(entry.result)
-            pending.discard(index)
-            done += 1
-            _record_task(telemetry, progress, task, index, done, total,
-                         cached=True, wall=0.0, wait=0.0,
-                         offset=base + time.monotonic() - call_started,
-                         pid=os.getpid())
-    if not pending:
-        return results
-    cache_dir = str(cache.directory) if cache is not None else None
-    items = []
-    for indices in plan_subtrees(tasks, include=pending):
-        member_set = set(indices)
-        injected: "dict[int, Any]" = {}
-        injected_digests: "dict[int, str]" = {}
-        for index in indices:
-            for need in tasks[index].needs:
-                if need not in member_set:
-                    injected[need] = results[need]
-                    injected_digests[need] = resolved_digests[need]
-        items.append((indices, [tasks[index] for index in indices],
-                      injected, injected_digests,
-                      {index: known_keys[index] for index in indices
-                       if index in known_keys},
-                      call_started, cache_dir))
-
-    def consume(outcome_iter: "Any") -> None:
+    def record(index: int, *, cached: bool, wall: float, pickup: float,
+               pid: int) -> None:
         nonlocal done
-        for item, (sub_results, meta, stats_delta) in zip(items,
-                                                          outcome_iter):
-            indices = item[0]
-            for position, index in enumerate(indices):
-                results[index] = sub_results[position]
-                cached, pickup, elapsed, pid = meta[position]
-                done += 1
-                _record_task(telemetry, progress, tasks[index], index,
-                             done, total, cached=cached, wall=elapsed,
-                             wait=pickup, offset=base + pickup, pid=pid)
-            if cache is not None and stats_delta is not None:
-                _merge_cache_stats(cache.stats, stats_delta)
+        done += 1
+        _record_task(telemetry, progress, tasks[index], index, done, total,
+                     cached=cached, wall=wall,
+                     wait=0.0 if cached else pickup, offset=base + pickup,
+                     pid=pid)
 
-    if jobs <= 1 or len(items) <= 1:
-        consume(map(_execute_subtree, items))
-    else:
-        with _pool_context().Pool(min(jobs, len(items))) as pool:
-            consume(pool.imap(_execute_subtree, items, chunksize=1))
+    waves = _task_waves(tasks)
+    pool = None
+    with contextlib.ExitStack() as stack:
+        for wave in waves:
+            keys: "dict[int, str]" = {}
+            misses: "list[int]" = []
+            for index in wave:
+                if cache is not None:
+                    task = tasks[index]
+                    parents = tuple(parent_digest(need) for need in task.needs)
+                    keys[index] = task_fingerprint(task,
+                                                   parent_digests=parents)
+                    entry = cache.load(keys[index])
+                    if entry is not None:
+                        results[index] = entry.result
+                        record(index, cached=True, wall=0.0,
+                               pickup=time.monotonic() - call_started,
+                               pid=os.getpid())
+                        continue
+                misses.append(index)
+            items = [(_materialize(tasks[index], results), call_started)
+                     for index in misses]
+            if jobs <= 1 or len(items) <= 1:
+                outcomes = map(_execute_item, items)
+            else:
+                if pool is None:
+                    size = min(jobs, max(map(len, waves)))
+                    pool = stack.enter_context(_pool_context().Pool(size))
+                outcomes = pool.imap(_execute_item, items, chunksize=1)
+            for index, (result, pickup, elapsed, pid) in zip(misses,
+                                                             outcomes):
+                if cache is not None:
+                    cache.store(keys[index], tasks[index], result, elapsed)
+                results[index] = result
+                record(index, cached=False, wall=elapsed, pickup=pickup,
+                       pid=pid)
     return results
 
 
@@ -789,16 +529,16 @@ def run_campaign(names: Sequence[str], scale: ExperimentScale,
                  = None,
                  shared_prefix: bool = True,
                  store: "Any | None" = None,
-                 schedule: str = "subtree",
                  ) -> "dict[str, Any]":
     """Run the selected experiment campaigns, optionally in parallel.
 
     ``jobs=1`` executes every task in-process, exactly like the
-    original serial loops.  ``jobs=N`` fans the tasks out over an
-    ``N``-worker process pool with ``chunksize=1`` (tasks have very
-    uneven durations, so greedy scheduling matters).  Either way the
-    merge consumes results in the fixed task order, so the returned
-    results — and anything rendered from them — are byte-identical.
+    original serial loops.  ``jobs=N`` fans each dependency wave out
+    over one process pool of at most ``N`` workers, started once per
+    call, with ``chunksize=1`` (tasks have very uneven durations, so
+    greedy scheduling matters).  Either way the merge consumes results
+    in the fixed task order, so the returned results — and anything
+    rendered from them — are byte-identical.
 
     With a :class:`~repro.experiments.cache.ResultCache`, tasks whose
     content fingerprint matches a stored entry replay the pickled
@@ -807,22 +547,14 @@ def run_campaign(names: Sequence[str], scale: ExperimentScale,
 
     ``telemetry`` (a :class:`CampaignTelemetry`, filled in-place) and
     ``progress`` (called as ``progress(done, total, task)`` after each
-    task completes, in the parent process) select an instrumented
-    execution path that observes per-task timing without changing the
-    ordered-results contract.
+    task completes, in the parent process) observe per-task timing
+    without changing the ordered-results contract.
 
     ``shared_prefix`` plans the fig7 and sweep campaigns with a
     first-wave snapshot task their per-case/per-point tasks fork from
     (see :mod:`repro.sim.snapshot`); disabling it re-runs every task's
     prefix straight-line.  Both settings merge to byte-identical
     results.
-
-    ``schedule`` picks how dependencies are resolved: ``"subtree"``
-    (the default) assigns each connected ``needs`` chain to one worker
-    so parent snapshots cross the pool boundary once and descendants
-    fork from live results against the shared world store;
-    ``"wave"`` is the topological-wave path that re-ships the parent
-    to every child.  Results are byte-identical across schedules.
 
     ``store`` is any object exposing ``write_task(task, result,
     index)`` — in practice a
@@ -843,21 +575,7 @@ def run_campaign(names: Sequence[str], scale: ExperimentScale,
         if telemetry.epoch is None:
             telemetry.epoch = started
         epoch = telemetry.epoch
-    if schedule not in SCHEDULES:
-        raise ValueError(f"unknown schedule {schedule!r} "
-                         f"(valid values: {', '.join(SCHEDULES)})")
-    if schedule == "subtree":
-        results = _run_tasks_subtree(tasks, jobs, telemetry, progress,
-                                     epoch, cache)
-    elif cache is None:
-        if telemetry is not None or progress is not None:
-            results = _run_tasks_instrumented(tasks, jobs, telemetry,
-                                              progress, epoch)
-        else:
-            results = _run_tasks(tasks, jobs)
-    else:
-        results = _run_tasks_cached(tasks, jobs, cache, telemetry, progress,
-                                    epoch)
+    results = _run_tasks(tasks, jobs, cache, telemetry, progress, epoch)
     if store is not None:
         for index, (task, result) in enumerate(zip(tasks, results)):
             store.write_task(task, result, index)
@@ -877,7 +595,6 @@ def write_bench_json(path: "str | os.PathLike[str]", *,
                      engine: "Any | None" = None,
                      engine_idle_ab: "Any | None" = None,
                      engine_fork_ab: "Any | None" = None,
-                     engine_subtree_ab: "Any | None" = None,
                      analysis: "Any | None" = None,
                      cache: "Any | None" = None,
                      telemetry: "CampaignTelemetry | None" = None,
@@ -898,11 +615,6 @@ def write_bench_json(path: "str | os.PathLike[str]", *,
     (``engine_fork_ab``: a
     :class:`~repro.sim.benchmark.ForkABResult` — layered vs full-copy
     forks/s, speedup, retained bytes per leg and their ratio),
-    the scheduling race on a ~1k-branch tree (``engine_subtree_ab``: a
-    :class:`~repro.sim.benchmark.SubtreeABResult` — wave-deep
-    re-pickling vs subtree walking against a spill-budgeted store,
-    end-to-end speedup, per-leg peak retained bytes and the
-    unlimited-vs-budgeted memory ratio),
     the run-artifact store's write-overhead race (``store_ab``: a
     :class:`~repro.store.benchmark.StoreABResult` — campaign wall time
     with vs without per-task artifact capture, plus the capture
@@ -980,28 +692,6 @@ def write_bench_json(path: "str | os.PathLike[str]", *,
             "retained_bytes": {
                 name: result.retained_bytes
                 for name, result in sorted(engine_fork_ab.results.items())
-            },
-        }
-    if engine_subtree_ab is not None:
-        record["engine_subtree_ab"] = {
-            "speedup": round(engine_subtree_ab.speedup, 2),
-            "memory_ratio": round(engine_subtree_ab.memory_ratio, 2),
-            "branches": engine_subtree_ab.branches,
-            "nodes": engine_subtree_ab.nodes,
-            "leaf_digest": engine_subtree_ab.leaf_digest,
-            "budget_bytes": engine_subtree_ab.budget_bytes,
-            "unlimited_peak_bytes": engine_subtree_ab.unlimited_peak_bytes,
-            "spilled_fragments": engine_subtree_ab.spilled_fragments,
-            "spill_bytes_written": engine_subtree_ab.spill_bytes_written,
-            "nodes_per_second": {
-                name: round(result.nodes_per_second, 1)
-                for name, result in sorted(
-                    engine_subtree_ab.results.items())
-            },
-            "peak_retained_bytes": {
-                name: result.peak_retained_bytes
-                for name, result in sorted(
-                    engine_subtree_ab.results.items())
             },
         }
     if store_ab is not None:

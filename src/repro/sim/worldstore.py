@@ -42,17 +42,15 @@ The module stays domain-free like :mod:`repro.sim.snapshot`: the part
 split is structural (top-level scalars, one part per ``world`` sub-key
 as returned by the world's ``snapshot_part_names()``, one per device),
 never hypervisor-specific.
+
+Fragments live in memory for the store's lifetime; experiment forks
+share one store per process (:func:`default_store`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import struct
-import tempfile
-from collections import OrderedDict
-from pathlib import Path
 from typing import Any, Optional
 
 from repro.sim.snapshot import (
@@ -71,63 +69,13 @@ _TOP_SCALARS = ("format", "world_class", "pending")
 #: Cap on the capture-event log kept for Perfetto export.
 CAPTURE_LOG_CAP = 4096
 
-#: Environment variable holding the resident-bytes budget for stores
-#: created without an explicit ``budget_bytes`` (``--store-budget``
-#: writes it so campaign worker processes inherit the limit).
-ENV_STORE_BUDGET = "REPRO_STORE_BUDGET"
 
-#: First bytes of every spill file; a file without it is treated as
-#: absent (all records miss) rather than an error.
-SPILL_MAGIC = b"RSPILL01"
+def resolve_store_budget(explicit: "int | None" = None) -> None:
+    """Always ``None``: the store has no resident-bytes budget.
 
-#: Per-record header: big-endian payload length + raw content digest.
-_SPILL_HEADER = struct.Struct(">I32s")
-
-_BUDGET_SUFFIXES = {"k": 1024, "m": 1024 ** 2, "g": 1024 ** 3}
-
-#: Sentinel distinguishing "resolve the budget from the environment"
-#: (the default) from an explicit ``budget_bytes=None`` (unlimited).
-_ENV_BUDGET = object()
-
-
-def parse_store_budget(raw: str) -> Optional[int]:
-    """Parse a budget spelling: bytes with an optional k/m/g suffix.
-
-    ``""``, ``"none"`` and ``"unlimited"`` mean no budget.  Anything
-    else must be a non-negative integer byte count, optionally scaled
-    by a binary suffix (``256k``, ``16m``, ``1g``).
+    Kept only because the perfbench engine probe reports it.
     """
-    text = raw.strip().lower()
-    if text in ("", "none", "unlimited"):
-        return None
-    scale = 1
-    if text[-1] in _BUDGET_SUFFIXES:
-        scale = _BUDGET_SUFFIXES[text[-1]]
-        text = text[:-1]
-    try:
-        count = int(text, 10)
-    except ValueError:
-        count = -1
-    if count < 0:
-        raise SnapshotError(
-            f"invalid store budget {raw!r} (expected a non-negative "
-            f"byte count with an optional k/m/g suffix, e.g. 262144, "
-            f"256k, 16m, or none)")
-    return count * scale
-
-
-def resolve_store_budget(explicit: "int | None" = None) -> Optional[int]:
-    """Resident-bytes budget: explicit argument > environment > unlimited.
-
-    An empty environment value counts as unset; an invalid one raises
-    rather than silently running unbounded.
-    """
-    if explicit is not None:
-        return explicit
-    raw = os.environ.get(ENV_STORE_BUDGET, "")
-    if not raw:
-        return None
-    return parse_store_budget(raw)
+    return None
 
 
 def canonical_json(value: Any) -> str:
@@ -146,28 +94,11 @@ class WorldStoreStats:
     __slots__ = ("fragments_stored", "fragment_dedup_hits", "bytes_stored",
                  "bytes_shared", "layers_created", "layer_dedup_hits",
                  "fast_captures", "full_captures", "data_forks",
-                 "parts_reused", "parts_recaptured", "fragments_spilled",
-                 "fragments_pinned", "spill_faults", "spill_corrupt_records",
-                 "spill_bytes_written", "spill_bytes_read")
+                 "parts_reused", "parts_recaptured")
 
     def __init__(self) -> None:
-        self.fragments_stored = 0
-        self.fragment_dedup_hits = 0
-        self.bytes_stored = 0
-        self.bytes_shared = 0
-        self.layers_created = 0
-        self.layer_dedup_hits = 0
-        self.fast_captures = 0
-        self.full_captures = 0
-        self.data_forks = 0
-        self.parts_reused = 0
-        self.parts_recaptured = 0
-        self.fragments_spilled = 0
-        self.fragments_pinned = 0
-        self.spill_faults = 0
-        self.spill_corrupt_records = 0
-        self.spill_bytes_written = 0
-        self.spill_bytes_read = 0
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.__slots__}
@@ -286,37 +217,12 @@ class ForkBasis:
 class WorldStore:
     """Content-addressed fragment + layer store shared by a fork tree.
 
-    Resident fragments live in an LRU dict bounded by ``budget_bytes``
-    (``None`` = unlimited; the default resolves ``REPRO_STORE_BUDGET``).
-    When the budget overflows, cold fragments whose values survive a
-    JSON round-trip are appended to a spill file and dropped from RAM;
-    :meth:`fragment_text`/:meth:`fragment_value` transparently fault
-    them back on resolve.  The content digest doubles as the record
-    checksum — a torn or corrupted record is detected on read and
-    treated as a miss (the fragment must be re-derived), mirroring the
-    result cache's corrupt-entry policy.
+    Every interned fragment stays in memory for the store's lifetime.
     """
 
-    def __init__(self, budget_bytes: "int | None" = _ENV_BUDGET,  # type: ignore[assignment]
-                 spill_path: "str | os.PathLike[str] | None" = None) -> None:
-        if budget_bytes is _ENV_BUDGET:
-            budget_bytes = resolve_store_budget()
-        #: Resident-bytes budget; ``None`` disables spilling entirely.
-        self.budget_bytes = budget_bytes
-        self._spill_path: Optional[Path] = (
-            Path(spill_path) if spill_path is not None else None)
-        self._spill_path_is_temp = spill_path is None
-        self._spill_file = None
-        # digest -> (offset, payload bytes) of records in the spill file
-        self._spilled: dict[str, tuple[int, int]] = {}
-        # digests whose values don't survive a JSON round-trip (tuples,
-        # non-string dict keys): pinned resident forever.
-        self._unspillable: set[str] = set()
-        self._resident_bytes = 0
-        # digest -> (canonical text, shared Python value, encoded bytes),
-        # ordered coldest-first for LRU eviction
-        self._fragments: "OrderedDict[str, tuple[str, Any, int]]" = (
-            OrderedDict())
+    def __init__(self) -> None:
+        # digest -> (canonical text, shared Python value)
+        self._fragments: dict[str, tuple[str, Any]] = {}
         # layer-mapping digest -> interned WorldLayer
         self._layers: dict[str, WorldLayer] = {}
         # layer digest -> whole-state digest (assembly memo)
@@ -325,207 +231,27 @@ class WorldStore:
         #: Capped ``(sim_time, kind, parts_changed, depth)`` capture log
         #: rendered as a Perfetto track by :mod:`repro.telemetry`.
         self.capture_log: list[tuple[int, str, int, int]] = []
-        #: Capped ``(sim_time, kind, fragments, bytes)`` spill/fault log
-        #: rendered as the "Fragment spill" Perfetto track.
-        self.spill_log: list[tuple[int, str, int, int]] = []
-        self._last_sim_time = 0
 
     # -- fragments ----------------------------------------------------
 
     def put_fragment(self, value: Any) -> str:
         """Intern ``value``; returns its content digest."""
         text = canonical_json(value)
-        data = text.encode("utf-8")
-        digest = hashlib.sha256(data).hexdigest()
+        digest = _sha256(text)
         if digest in self._fragments:
-            self._fragments.move_to_end(digest)
-            self.stats.fragment_dedup_hits += 1
-            self.stats.bytes_shared += len(text)
-        elif digest in self._spilled:
-            # The same content was spilled earlier: re-admit from the
-            # caller's copy (no disk read) and keep the on-disk record
-            # for the next eviction.
-            self._admit(digest, text, value, len(data))
             self.stats.fragment_dedup_hits += 1
             self.stats.bytes_shared += len(text)
         else:
-            self._admit(digest, text, value, len(data))
+            self._fragments[digest] = (text, value)
             self.stats.fragments_stored += 1
             self.stats.bytes_stored += len(text)
         return digest
 
     def fragment_text(self, digest: str) -> str:
-        entry = self._fragments.get(digest)
-        if entry is None:
-            entry = self._fault(digest)
-        else:
-            self._fragments.move_to_end(digest)
-        return entry[0]
+        return self._fragments[digest][0]
 
     def fragment_value(self, digest: str) -> Any:
-        entry = self._fragments.get(digest)
-        if entry is None:
-            entry = self._fault(digest)
-        else:
-            self._fragments.move_to_end(digest)
-        return entry[1]
-
-    # -- spill tier ---------------------------------------------------
-
-    @property
-    def resident_bytes(self) -> int:
-        """Encoded bytes of the fragments currently held in RAM."""
-        return self._resident_bytes
-
-    @property
-    def spilled_count(self) -> int:
-        return len(self._spilled)
-
-    @property
-    def pinned_count(self) -> int:
-        return len(self._unspillable)
-
-    @property
-    def spill_path(self) -> Optional[Path]:
-        """Configured or auto-generated spill file path.
-
-        ``None`` when no path was given and nothing has spilled yet.
-        """
-        return self._spill_path
-
-    def clear(self) -> None:
-        """Drop every fragment, layer, memo and spill record.
-
-        The spill file is deleted (recreated lazily on the next
-        eviction).  ``stats`` counters are cumulative and survive a
-        clear; the resident/spilled gauges reset to zero.
-        """
-        self._fragments.clear()
-        self._layers.clear()
-        self._root_digests.clear()
-        self._spilled.clear()
-        self._unspillable.clear()
-        self._resident_bytes = 0
-        self.capture_log.clear()
-        self.spill_log.clear()
-        self._last_sim_time = 0
-        if self._spill_file is not None:
-            try:
-                self._spill_file.close()
-            except OSError:
-                pass
-            self._spill_file = None
-        if self._spill_path is not None:
-            try:
-                os.unlink(self._spill_path)
-            except OSError:
-                pass
-            if self._spill_path_is_temp:
-                self._spill_path = None
-
-    def _admit(self, digest: str, text: str, value: Any,
-               nbytes: int) -> None:
-        self._fragments[digest] = (text, value, nbytes)
-        self._resident_bytes += nbytes
-        self._enforce_budget()
-
-    def _enforce_budget(self) -> None:
-        budget = self.budget_bytes
-        if budget is None or self._resident_bytes <= budget:
-            return
-        evicted = 0
-        evicted_bytes = 0
-        # Coldest first; the newest entry is never evicted (its caller
-        # holds a live reference anyway, so dropping it saves nothing).
-        for digest in list(self._fragments)[:-1]:
-            if self._resident_bytes <= budget:
-                break
-            if digest in self._unspillable:
-                continue
-            text, value, nbytes = self._fragments[digest]
-            if not _json_faithful(text, value):
-                self._unspillable.add(digest)
-                self.stats.fragments_pinned += 1
-                continue
-            if digest not in self._spilled:
-                self._spilled[digest] = self._spill_write(digest, text)
-                self.stats.fragments_spilled += 1
-            del self._fragments[digest]
-            self._resident_bytes -= nbytes
-            evicted += 1
-            evicted_bytes += nbytes
-        if evicted:
-            self._log_spill("spill", evicted, evicted_bytes)
-
-    def _ensure_spill_file(self):
-        if self._spill_file is not None:
-            return self._spill_file
-        path = self._spill_path
-        if path is None:
-            path = Path(tempfile.gettempdir()) / (
-                f"repro-spill-{os.getpid()}-{id(self):x}.bin")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # Atomic creation: the magic header lands via tempfile+replace,
-        # so a reader never sees a half-written file head.  Appends
-        # after that are flushed per record; a torn tail fails the
-        # per-record checksum and reads as a miss.
-        fd, tmp_name = tempfile.mkstemp(dir=str(path.parent),
-                                        prefix=path.name + ".",
-                                        suffix=".tmp")
-        with os.fdopen(fd, "wb") as head:
-            head.write(SPILL_MAGIC)
-        os.replace(tmp_name, path)
-        self._spill_path = path
-        self._spill_file = open(path, "a+b")
-        return self._spill_file
-
-    def _spill_write(self, digest: str, text: str) -> tuple[int, int]:
-        data = text.encode("utf-8")
-        handle = self._ensure_spill_file()
-        handle.seek(0, os.SEEK_END)
-        offset = handle.tell() + _SPILL_HEADER.size
-        handle.write(_SPILL_HEADER.pack(len(data), bytes.fromhex(digest)))
-        handle.write(data)
-        handle.flush()
-        self.stats.spill_bytes_written += len(data)
-        return offset, len(data)
-
-    def _fault(self, digest: str) -> tuple[str, Any, int]:
-        entry = self._spilled.get(digest)
-        if entry is None:
-            raise KeyError(digest)
-        offset, nbytes = entry
-        data = b""
-        if self._spill_file is not None:
-            try:
-                self._spill_file.seek(offset)
-                data = self._spill_file.read(nbytes)
-            except OSError:
-                data = b""
-        if (len(data) != nbytes
-                or hashlib.sha256(data).hexdigest() != digest):
-            del self._spilled[digest]
-            self.stats.spill_corrupt_records += 1
-            self._log_spill("corrupt", 1, nbytes)
-            raise SnapshotError(
-                f"spill record for fragment {digest} in "
-                f"{self._spill_path} is corrupt or truncated; treating "
-                f"it as a miss — re-derive the fragment (re-capture or "
-                f"re-put) to repair the store")
-        text = data.decode("utf-8")
-        value = json.loads(text)
-        self._fragments[digest] = (text, value, nbytes)
-        self._resident_bytes += nbytes
-        self.stats.spill_faults += 1
-        self.stats.spill_bytes_read += nbytes
-        self._log_spill("fault", 1, nbytes)
-        self._enforce_budget()
-        return self._fragments[digest]
-
-    def _log_spill(self, kind: str, fragments: int, nbytes: int) -> None:
-        if len(self.spill_log) < CAPTURE_LOG_CAP:
-            self.spill_log.append(
-                (self._last_sim_time, kind, fragments, nbytes))
+        return self._fragments[digest][1]
 
     # -- layers -------------------------------------------------------
 
@@ -589,24 +315,8 @@ class WorldStore:
 
     def log_capture(self, sim_time: int, kind: str, parts_changed: int,
                     depth: int) -> None:
-        self._last_sim_time = sim_time
         if len(self.capture_log) < CAPTURE_LOG_CAP:
             self.capture_log.append((sim_time, kind, parts_changed, depth))
-
-
-def _json_faithful(text: str, value: Any) -> bool:
-    """Whether ``value`` survives a JSON round-trip of its canonical text.
-
-    Python equality is exact here: ``(1, 2) != [1, 2]`` and
-    ``{5: 1} != {"5": 1}``, so any value whose identity-preserving
-    shape the decoder cannot reproduce fails the check and stays
-    resident.  Digest identity never depends on this — only the shared
-    *value* object does.
-    """
-    try:
-        return json.loads(text) == value
-    except ValueError:
-        return False
 
 
 def _join_object(items: list[tuple[str, str]]) -> str:
@@ -625,29 +335,11 @@ _DEFAULT_STORE: Optional[WorldStore] = None
 
 
 def default_store() -> WorldStore:
-    """The per-process store shared by experiment warm-world forks.
-
-    Created lazily, so it picks up the ``REPRO_STORE_BUDGET`` resident
-    budget in effect at first use — the process-global store is bounded
-    exactly like any explicitly constructed one.
-    """
+    """The per-process store shared by experiment warm-world forks."""
     global _DEFAULT_STORE
     if _DEFAULT_STORE is None:
         _DEFAULT_STORE = WorldStore()
     return _DEFAULT_STORE
-
-
-def reset_default_store() -> None:
-    """Clear and drop the process-global store.
-
-    The next :func:`default_store` call builds a fresh one, re-reading
-    the environment budget — campaigns that run back to back in one
-    process use this to release every retained fragment in between.
-    """
-    global _DEFAULT_STORE
-    if _DEFAULT_STORE is not None:
-        _DEFAULT_STORE.clear()
-    _DEFAULT_STORE = None
 
 
 def _world_parts(world: Any) -> Optional[tuple]:

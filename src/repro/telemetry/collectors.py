@@ -129,10 +129,7 @@ def collect_world_store(registry: MetricsRegistry, store: Any,
     would have re-serialized (``bytes_shared``).  ``fast`` vs ``full``
     captures split captures that proved quiescence via the engine
     activity fingerprint (and so could diff part-by-part) from those
-    that fell back to a complete re-serialization.  The
-    ``sim_world_spill_*`` family tracks the cold-fragment disk tier:
-    evictions past the resident-bytes budget, transparent fault-backs,
-    and corrupt spill records treated as misses.
+    that fell back to a complete re-serialization.
     """
     labels = {"run": run}
     stats = store.stats
@@ -181,34 +178,6 @@ def collect_world_store(registry: MetricsRegistry, store: Any,
     counter("sim_world_parts_recaptured_total",
             "Per-part re-serializations that produced a changed digest",
             stats.parts_recaptured)
-    registry.gauge(
-        "sim_world_resident_bytes",
-        "Canonical-JSON bytes of fragments currently resident in RAM",
-        ("run",),
-    ).labels(**labels).set(store.resident_bytes)
-    registry.gauge(
-        "sim_world_spilled_fragments",
-        "Cold fragments currently living only in the spill file",
-        ("run",),
-    ).labels(**labels).set(store.spilled_count)
-    counter("sim_world_spill_fragments_total",
-            "Cold fragments evicted to the on-disk spill tier",
-            stats.fragments_spilled)
-    counter("sim_world_spill_bytes_written_total",
-            "Canonical-JSON bytes appended to the spill file",
-            stats.spill_bytes_written)
-    counter("sim_world_spill_faults_total",
-            "Spilled fragments faulted back into RAM on resolve",
-            stats.spill_faults)
-    counter("sim_world_spill_bytes_read_total",
-            "Canonical-JSON bytes read back from the spill file",
-            stats.spill_bytes_read)
-    counter("sim_world_spill_corrupt_records_total",
-            "Spill records dropped as corrupt/truncated (treated as miss)",
-            stats.spill_corrupt_records)
-    counter("sim_world_spill_pinned_fragments_total",
-            "Fragments pinned in RAM (value not JSON-faithful to its text)",
-            stats.fragments_pinned)
 
 
 def collect_store(registry: MetricsRegistry,

@@ -18,7 +18,6 @@ from repro.experiments.runner import (
     execute_task,
     plan_campaign,
     plan_experiment,
-    plan_subtrees,
     run_campaign,
     write_bench_json,
 )
@@ -100,85 +99,93 @@ def test_run_campaign_serial_equals_parallel_results():
             == parallel["validation"].interposed_result.latencies_us)
 
 
-# ------------------------------------------------------------ subtrees
+# ------------------------------------------------------------ executor
 
 def _chain_task(experiment, kind, needs=(), feed=None):
     return CampaignTask(experiment, kind, {}, needs=tuple(needs), feed=feed)
 
 
-def test_plan_subtrees_groups_dependency_chains():
-    tasks = [
-        _chain_task("a", "root"),                       # 0: chain head
-        _chain_task("a", "child", needs=(0,), feed="snapshot"),   # 1
-        _chain_task("b", "solo"),                       # 2: independent
-        _chain_task("a", "grand", needs=(1,), feed="snapshot"),   # 3
-        _chain_task("c", "root"),                       # 4: chain head
-        _chain_task("c", "child", needs=(4,), feed="snapshot"),   # 5
-    ]
-    assert plan_subtrees(tasks) == [[0, 1, 3], [2], [4, 5]]
-    # include narrows the members but keeps chains together.
-    assert plan_subtrees(tasks, include=[1, 3, 2]) == [[1, 3], [2]]
+@pytest.mark.parametrize("needs", [((1,), (0,)), ((), (2,))],
+                         ids=["cyclic", "out-of-range"])
+def test_task_waves_rejects_unresolvable_needs(needs):
+    from repro.experiments.runner import _task_waves
+
+    tasks = [_chain_task("a", f"t{index}", needs=need, feed="snapshot")
+             for index, need in enumerate(needs)]
+    with pytest.raises(ValueError, match="cyclic or point outside"):
+        _task_waves(tasks)
 
 
-def test_plan_subtrees_rejects_forward_dependencies():
-    tasks = [
-        _chain_task("a", "child", needs=(1,), feed="snapshot"),
-        _chain_task("a", "root"),
-    ]
-    with pytest.raises(ValueError, match="earlier tasks"):
-        plan_subtrees(tasks)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_forked_campaigns_equal_across_jobs(seed):
+    """fig7 and sweep carry ``needs/feed`` chains (the learning prefix
+    and the d_min warmup): forked tasks run in-process at ``jobs=1``
+    and as independent pool items at ``jobs=2``, with equal results."""
+    serial = run_campaign(("fig7", "sweep"), SMOKE, seed=seed, jobs=1)
+    parallel = run_campaign(("fig7", "sweep"), SMOKE, seed=seed, jobs=2)
+    assert set(serial["fig7"]) == set(parallel["fig7"])
+    for case in serial["fig7"]:
+        assert (serial["fig7"][case].series_us
+                == parallel["fig7"][case].series_us)
+        assert (serial["fig7"][case].learned_table
+                == parallel["fig7"][case].learned_table)
+    assert serial["sweep"] == parallel["sweep"]
 
 
-def test_run_campaign_rejects_unknown_schedule():
-    with pytest.raises(ValueError, match="unknown schedule"):
-        run_campaign(("design",), SMOKE, seed=1, jobs=1, schedule="bfs")
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_subtree_schedule_equals_wave_schedule(jobs):
-    """The tentpole property: schedules differ only in speed.
-
-    fig7 and sweep both carry ``needs/feed`` chains (the learning
-    prefix and the d_min warmup), so this exercises real forked
-    subtrees, serial and across a pool.
-    """
-    wave = run_campaign(("validation",), SMOKE, seed=1, jobs=jobs,
-                        schedule="wave")
-    subtree = run_campaign(("validation",), SMOKE, seed=1, jobs=jobs,
-                           schedule="subtree")
-    assert (wave["validation"].interposed_result.latencies_us
-            == subtree["validation"].interposed_result.latencies_us)
-
-    wave = run_campaign(("fig7", "sweep"), SMOKE, seed=1, jobs=jobs,
-                        schedule="wave")
-    subtree = run_campaign(("fig7", "sweep"), SMOKE, seed=1, jobs=jobs,
-                           schedule="subtree")
-    assert set(wave["fig7"]) == set(subtree["fig7"])
-    for case in wave["fig7"]:
-        assert (wave["fig7"][case].series_us
-                == subtree["fig7"][case].series_us)
-        assert (wave["fig7"][case].learned_table
-                == subtree["fig7"][case].learned_table)
-    assert wave["sweep"] == subtree["sweep"]
-
-
-def test_subtree_schedule_reuses_wave_cache(tmp_path):
-    """Cache fingerprints are schedule-independent: a cache written by
-    the wave path is fully warm for the subtree path (parent digests
-    fold in identically on both sides)."""
+def test_serial_cache_is_warm_in_parallel(tmp_path):
+    """Cache fingerprints do not depend on the jobs count: a cache
+    written at ``jobs=1`` is fully warm at ``jobs=2``, forked tasks
+    included (parent digests fold in identically on both sides)."""
     from repro.experiments.cache import ResultCache
 
     cache_dir = tmp_path / "cache"
     cold = ResultCache(cache_dir)
-    run_campaign(("fig7",), SMOKE, seed=1, jobs=1, cache=cold,
-                 schedule="wave")
-    assert cold.stats.misses > 0 and cold.stats.hits == 0
+    run_campaign(("fig7", "sweep"), SMOKE, seed=1, jobs=1, cache=cold)
+    assert cold.stats.misses == 15 and cold.stats.hits == 0
 
     warm = ResultCache(cache_dir)
-    run_campaign(("fig7",), SMOKE, seed=1, jobs=2, cache=warm,
-                 schedule="subtree")
+    run_campaign(("fig7", "sweep"), SMOKE, seed=1, jobs=2, cache=warm)
     assert warm.stats.misses == 0
     assert warm.stats.hits == cold.stats.misses
+
+
+def test_warm_run_digests_only_fork_parents(tmp_path, monkeypatch):
+    """Cache keys fold in parent digests; only the two fork parents
+    (fig7's prefix, sweep's warmup) are ever digested, once each."""
+    from repro.experiments import runner
+    from repro.experiments.cache import ResultCache
+
+    cache_dir = tmp_path / "cache"
+    run_campaign(("fig7", "sweep"), SMOKE, seed=1, jobs=1,
+                 cache=ResultCache(cache_dir))
+    digested = []
+
+    def counting_digest(result):
+        digested.append(result)
+        return real_digest(result)
+
+    real_digest = runner.result_digest
+    monkeypatch.setattr(runner, "result_digest", counting_digest)
+    run_campaign(("fig7", "sweep"), SMOKE, seed=1, jobs=1,
+                 cache=ResultCache(cache_dir))
+    assert len(digested) == 2
+
+
+def test_one_pool_per_campaign_call(monkeypatch):
+    """Every parallel wave of one call reuses a single pool."""
+    from repro.experiments import runner
+
+    real_context = runner._pool_context
+    sizes = []
+
+    class CountingContext:
+        def Pool(self, processes, *args, **kwargs):
+            sizes.append(processes)
+            return real_context().Pool(processes, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "_pool_context", CountingContext)
+    run_campaign(("fig7", "sweep"), SMOKE, seed=1, jobs=2)
+    assert sizes == [2]
 
 
 # ----------------------------------------------------------------- CLI
@@ -254,6 +261,17 @@ def test_quick_campaign_warm_cache_speedup(tmp_path, capsys):
     assert warm["cache"]["misses"] == 0
     assert warm["cache"]["hits"] == cold["cache"]["misses"]
     assert cold["total_wall_seconds"] >= 5 * warm["total_wall_seconds"]
+
+
+@pytest.mark.parametrize("jobs", ["-2", "0"])
+def test_cli_rejects_non_positive_jobs(jobs, tmp_path, capsys):
+    export = tmp_path / "export"
+    with pytest.raises(SystemExit) as raised:
+        main(["validation", "--smoke", "--jobs", jobs, "--no-cache",
+              "--export", str(export)])
+    assert raised.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not export.exists()
 
 
 def test_cli_rejects_conflicting_scales(capsys):
