@@ -153,6 +153,7 @@ def _write_manifest(export_dir: str, *, names, scale, args, jobs: int,
 
     import repro
     from repro.experiments.cache import source_fingerprint
+    from repro.io import atomic_write
     from repro.sim.engine import resolve_idle_skip
     from repro.sim.queue import resolve_backend_name
 
@@ -180,9 +181,8 @@ def _write_manifest(export_dir: str, *, names, scale, args, jobs: int,
         "cache": cache.stats.as_dict() if cache is not None else None,
         "files": sorted(path.name for path in directory.glob("*.csv")),
     }
-    (directory / "manifest.json").write_text(
-        json.dumps(manifest, indent=2) + "\n"
-    )
+    atomic_write(directory / "manifest.json",
+                 json.dumps(manifest, indent=2) + "\n")
 
 
 def _export_telemetry(args, *, scale, jobs: int, cache, telemetry,

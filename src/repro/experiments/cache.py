@@ -29,12 +29,15 @@ round trip), replaying a pickled result is byte-identical to
 recomputing it: a warm campaign differs from a cold one only in wall
 clock.
 
-Cache entries live under ``<dir>/<key[:2]>/<key>.pkl`` and are written
-atomically (temp file + ``os.replace``), so concurrent campaigns can
-share a directory; a corrupt or truncated entry is treated as a miss
-and rewritten.  Every entry records the compute time of the original
-miss, which is how :class:`CacheStats` can report the wall-clock time
-a warm run saved.
+Cache entries live under ``<dir>/<key[:2]>/<key>.pkl`` and land through
+:func:`repro.io.atomic_write` (temp file, fsync, ``os.replace``), so
+concurrent campaigns can share a directory and a crash leaves either
+the old entry or the new one; a corrupt or truncated entry is treated
+as a miss and rewritten.  Every entry records the compute time of the
+original miss, which is how :class:`CacheStats` can report the
+wall-clock time a warm run saved.  The fingerprint is
+:func:`repro.io.canonical_digest` of its payload, the encoding every
+digest in the package shares.
 """
 
 from __future__ import annotations
@@ -43,15 +46,15 @@ import ast
 import dataclasses
 import hashlib
 import importlib.util
-import json
 import os
 import pickle
-import tempfile
 import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Any, Mapping, Optional
+
+from repro.io import atomic_write, canonical_digest
 
 #: Bumped whenever the entry layout or fingerprint payload changes so
 #: stale caches from older code read as misses instead of garbage.
@@ -253,8 +256,7 @@ def task_fingerprint(task: Any, root_package: str = "repro",
         feed = getattr(task, "feed", None)
         if feed:
             payload["feed"] = feed
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return canonical_digest(payload)
 
 
 # ---------------------------------------------------------------- cache
@@ -373,20 +375,7 @@ class ResultCache:
             "result": result,
         }
         blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent,
-                                        prefix=path.name, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        atomic_write(self._path(key), blob)
         self.stats.stores += 1
         self.stats.bytes_written += len(blob)
         self.stats.computed_seconds += float(elapsed_seconds)

@@ -22,8 +22,6 @@ handling, so the run-mode averages are strictly ordered a < b < c < d.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 from array import array
 from dataclasses import dataclass, field
 from typing import Optional
@@ -36,6 +34,7 @@ from repro.experiments.common import (
     run_irq_scenario,
     run_irq_scenario_from,
 )
+from repro.io import canonical_digest, text_digest
 from repro.metrics.report import render_table
 from repro.metrics.stats import running_average, summarize
 from repro.sim.snapshot import SnapshotError, WorldSnapshot, settle
@@ -111,16 +110,12 @@ class Fig7Prefix:
     def digest(self) -> str:
         """Content digest folded into child-task cache fingerprints."""
         if self.snapshot is None:
-            return hashlib.sha256(
-                f"fig7-prefix:straight-line:{self.key}".encode("utf-8")
-            ).hexdigest()
+            return text_digest(f"fig7-prefix:straight-line:{self.key}")
         return self.snapshot.digest()
 
 
 def _prefix_key(config: Fig7Config) -> str:
-    payload = json.dumps(dataclasses.asdict(config), sort_keys=True,
-                         separators=(",", ":"), default=repr)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return canonical_digest(dataclasses.asdict(config))
 
 
 def run_fig7_prefix(config: "Fig7Config | None" = None,

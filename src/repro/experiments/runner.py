@@ -52,6 +52,7 @@ import json
 import multiprocessing
 import os
 import platform
+import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -93,6 +94,7 @@ from repro.experiments.validation import (
     run_validation_classic,
     run_validation_monitored,
 )
+from repro.io import atomic_write, canonical_digest, quarantine
 from repro.workloads.automotive import AutomotiveTraceConfig
 
 #: Default interrupt loads shared by the fig6 and tab62 campaigns.
@@ -601,8 +603,10 @@ def write_bench_json(path: "str | os.PathLike[str]", *,
                      store_ab: "Any | None" = None) -> dict:
     """Append one run record to a ``BENCH_experiments.json`` history.
 
-    The file holds ``{"runs": [...]}`` with one record per campaign
-    run: a ``host`` block (python version, cpu count, platform — so
+    The file holds ``{"runs": [...], "sha256": ...}`` with one record
+    per campaign run and a trailer checksum
+    (:func:`repro.io.canonical_digest` of the runs list); each record
+    holds a ``host`` block (python version, cpu count, platform — so
     cross-machine history stays interpretable), per-experiment
     wall-clock seconds plus (when measured) the
     engine microbenchmark's events/sec (``engine``, annotated with the
@@ -629,12 +633,14 @@ def write_bench_json(path: "str | os.PathLike[str]", *,
 
     The read-modify-write append is safe against concurrent campaigns:
     the whole cycle runs under an advisory lock (where the platform
-    supports it) and the updated history lands via temp file +
-    ``os.replace``, so a reader never sees a torn file and two writers
-    cannot drop each other's records.  The lock side-file lives under
-    the system temp directory, keyed by a hash of the resolved target
-    path — not next to the history file — so benchmark runs never
-    litter the checkout with ``.lock`` artifacts.
+    supports it) and the updated history lands through
+    :func:`repro.io.atomic_write`, so a reader never sees a torn file
+    and two writers cannot drop each other's records.  A corrupt
+    history is moved aside, never overwritten
+    (:func:`_read_bench_runs`).  The lock side-file lives under the
+    system temp directory, keyed by a hash of the resolved target path
+    — not next to the history file — so benchmark runs never litter the
+    checkout with ``.lock`` artifacts.
     """
     record: "dict[str, Any]" = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()) + "Z",
@@ -721,8 +727,6 @@ def write_bench_json(path: "str | os.PathLike[str]", *,
         record["campaign"] = telemetry.as_dict()
 
     target = Path(path)
-    if target.parent and not target.parent.exists():
-        target.parent.mkdir(parents=True, exist_ok=True)
     # Key the advisory lock by the resolved target so every writer to
     # the same history file contends on the same side-file, wherever
     # they were launched from.
@@ -733,30 +737,46 @@ def write_bench_json(path: "str | os.PathLike[str]", *,
         if fcntl is not None:
             fcntl.flock(lock_file.fileno(), fcntl.LOCK_EX)
         try:
-            history: "dict[str, Any]" = {"runs": []}
-            if target.exists():
-                try:
-                    loaded = json.loads(target.read_text())
-                except (OSError, ValueError):
-                    loaded = None
-                if (isinstance(loaded, dict)
-                        and isinstance(loaded.get("runs"), list)):
-                    history = loaded
-            history["runs"].append(record)
-            fd, tmp_name = tempfile.mkstemp(dir=target.parent or ".",
-                                            prefix=target.name,
-                                            suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(json.dumps(history, indent=2) + "\n")
-                os.replace(tmp_name, target)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
+            runs = _read_bench_runs(target)
+            runs.append(record)
+            atomic_write(target, json.dumps(
+                {"runs": runs, "sha256": canonical_digest(runs)},
+                indent=2) + "\n")
         finally:
             if fcntl is not None:
                 fcntl.flock(lock_file.fileno(), fcntl.LOCK_UN)
     return record
+
+
+def _read_bench_runs(target: Path) -> "list[dict[str, Any]]":
+    """The recorded runs of a bench history; ``[]`` when there is none.
+
+    A history that does not parse, has no ``runs`` list, or whose
+    ``sha256`` trailer does not match its runs is renamed aside by
+    :func:`repro.io.quarantine` (with a warning on stderr) and the
+    caller starts a fresh one.  Histories written before the trailer
+    existed carry no ``sha256`` field and load unchecked.
+    """
+    try:
+        blob = target.read_bytes()
+    except FileNotFoundError:
+        return []
+    problem = None
+    try:
+        history = json.loads(blob)
+    except ValueError as error:
+        problem = f"unparsable ({error})"
+    else:
+        runs = history.get("runs") if isinstance(history, dict) else None
+        if not isinstance(runs, list):
+            problem = "no 'runs' list"
+        elif "sha256" in history and history["sha256"] != canonical_digest(
+                runs):
+            problem = "sha256 trailer does not match its runs"
+    if problem is None:
+        return runs
+    aside = quarantine(target)
+    print(f"warning: bench history {target} is corrupt ({problem}); "
+          f"moved it to {aside.name} and started a fresh history",
+          file=sys.stderr)
+    return []

@@ -17,8 +17,6 @@ Two sweeps substantiate the paper's structural claims:
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -33,6 +31,7 @@ from repro.experiments.common import (
     run_irq_scenario,
     run_irq_scenario_from,
 )
+from repro.io import canonical_digest
 from repro.metrics.report import render_table
 from repro.sim.snapshot import WorldSnapshot
 from repro.workloads.synthetic import clip_to_dmin, exponential_interarrivals
@@ -174,13 +173,12 @@ class DminSweepWarmup:
 
 def _dmin_warmup_key(system: PaperSystemConfig, mean_interarrival_us: float,
                      irq_count: int, seed: int) -> str:
-    payload = json.dumps({
+    return canonical_digest({
         "system": dataclasses.asdict(system),
         "mean_interarrival_us": mean_interarrival_us,
         "irq_count": irq_count,
         "seed": seed,
-    }, sort_keys=True, separators=(",", ":"), default=repr)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    })
 
 
 def run_dmin_warmup(system: "PaperSystemConfig | None" = None,

@@ -1,7 +1,8 @@
 """Export measurement data to CSV/JSON for external analysis.
 
 Downstream users typically post-process latency records with pandas or
-gnuplot; these helpers write stable, documented formats:
+gnuplot; these helpers write stable, documented formats, each landing
+whole through :mod:`repro.io`:
 
 * latency records — one row per IRQ with arrival/completion/mode;
 * histograms — one row per bin;
@@ -16,6 +17,7 @@ from pathlib import Path
 from typing import Iterable, Sequence, Union
 
 from repro.hypervisor.hypervisor import LatencyRecord
+from repro.io import AtomicFile, atomic_write
 from repro.metrics.histogram import LatencyHistogram
 from repro.sim.clock import Clock
 
@@ -30,7 +32,7 @@ def write_latency_csv(path: PathLike, records: Iterable[LatencyRecord],
     latency_us (when a clock is given), mode, enforced_cut.
     """
     rows = 0
-    with open(path, "w", newline="") as handle:
+    with AtomicFile(path, "w") as handle:
         writer = csv.writer(handle)
         header = ["source", "seq", "arrival", "completed_at",
                   "latency_cycles", "mode", "enforced_cut"]
@@ -52,7 +54,7 @@ def write_histogram_csv(path: PathLike,
                         histogram: LatencyHistogram) -> int:
     """Write a histogram to CSV (bin_low, bin_high, count)."""
     bins = histogram.bins()
-    with open(path, "w", newline="") as handle:
+    with AtomicFile(path, "w") as handle:
         writer = csv.writer(handle)
         writer.writerow(["bin_low", "bin_high", "count"])
         for bin_ in bins:
@@ -65,7 +67,7 @@ def write_histogram_csv(path: PathLike,
 def write_series_csv(path: PathLike, series: Sequence[float],
                      column: str = "value") -> int:
     """Write an indexed series (e.g. the Fig. 7 running average)."""
-    with open(path, "w", newline="") as handle:
+    with AtomicFile(path, "w") as handle:
         writer = csv.writer(handle)
         writer.writerow(["index", column])
         for index, value in enumerate(series):
@@ -91,7 +93,7 @@ def write_records_json(path: PathLike, records: Iterable[LatencyRecord],
             for record in records
         ],
     }
-    Path(path).write_text(json.dumps(payload))
+    atomic_write(path, json.dumps(payload))
     return len(payload["records"])
 
 

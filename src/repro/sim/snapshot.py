@@ -38,12 +38,11 @@ on restore, so the dependency arrow stays hypervisor → sim.
 
 from __future__ import annotations
 
-import hashlib
 import importlib
-import json
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
+from repro.io import canonical_digest
 from repro.sim.engine import SimulationEngine
 from repro.sim.events import EventHandle
 
@@ -139,15 +138,13 @@ class WorldSnapshot:
     state: dict
 
     def digest(self) -> str:
-        """Stable SHA-256 over the canonical JSON of the state.
+        """:func:`repro.io.canonical_digest` of the state.
 
         Folded into the campaign-cache fingerprint of forked subtasks:
         a child task's cached result is only replayed when the parent
         snapshot it forked from is byte-identical too.
         """
-        payload = json.dumps(self.state, sort_keys=True,
-                             separators=(",", ":"), ensure_ascii=False)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return canonical_digest(self.state)
 
 
 def _require_snapshot_protocol(obj: Any, described_as: str,

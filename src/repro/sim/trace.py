@@ -10,12 +10,12 @@ properties.  Recording can be disabled for long benchmark runs.
 from __future__ import annotations
 
 import enum
-import hashlib
-import json
 from collections import deque
 from itertools import islice
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Optional
+
+from repro.io import canonical_digest
 
 
 class TraceKind(enum.Enum):
@@ -178,17 +178,14 @@ class TraceRecorder:
         self._epoch += 1
 
     def digest(self) -> str:
-        """Stable SHA-256 over the canonical JSON of all retained events.
+        """:func:`repro.io.canonical_digest` of all retained events.
 
         Two recorders that captured the same simulation have the same
         digest; the idle-skip on/off tests use this to prove two runs
         produced byte-identical executions.
         """
-        payload = json.dumps(
-            [(ev.time, ev.kind.value, ev.data) for ev in self._events],
-            sort_keys=True, separators=(",", ":"), ensure_ascii=False,
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return canonical_digest(
+            [(ev.time, ev.kind.value, ev.data) for ev in self._events])
 
     def snapshot_state(self) -> dict:
         """Plain-data recorder state (see :mod:`repro.sim.snapshot`).

@@ -20,7 +20,7 @@ object.  This module removes that wall:
   pickling are unchanged.  **Digests are byte-identical to the
   deep-copy path**: the canonical JSON of the assembled state is
   reconstructed fragment by fragment and must equal
-  ``json.dumps(state, sort_keys=True, ...)`` exactly.
+  :func:`repro.io.canonical_json` of the state exactly.
 
 Dirty tracking uses two independent mechanisms layered on the
 existing ``snapshot_state``/``restore_from_snapshot`` protocol:
@@ -49,10 +49,9 @@ share one store per process (:func:`default_store`).
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Any, Optional
 
+from repro.io import canonical_digest, canonical_json, text_digest
 from repro.sim.snapshot import (
     SNAPSHOT_FORMAT,
     SnapshotContext,
@@ -76,16 +75,6 @@ def resolve_store_budget(explicit: "int | None" = None) -> None:
     Kept only because the perfbench engine probe reports it.
     """
     return None
-
-
-def canonical_json(value: Any) -> str:
-    """The canonical encoding every snapshot digest is defined over."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=False)
-
-
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class WorldStoreStats:
@@ -237,7 +226,7 @@ class WorldStore:
     def put_fragment(self, value: Any) -> str:
         """Intern ``value``; returns its content digest."""
         text = canonical_json(value)
-        digest = _sha256(text)
+        digest = text_digest(text)
         if digest in self._fragments:
             self.stats.fragment_dedup_hits += 1
             self.stats.bytes_shared += len(text)
@@ -270,7 +259,7 @@ class WorldStore:
         else:
             resolved = dict(parent.mapping())
             resolved.update(delta)
-        digest = _sha256(canonical_json(resolved))
+        digest = canonical_digest(resolved)
         layer = self._layers.get(digest)
         if layer is not None:
             self.stats.layer_dedup_hits += 1
@@ -307,7 +296,7 @@ class WorldStore:
                 top_items.append((key, text))
         top_items.append(("world", _join_object(world_items)))
         top_items.append(("devices", _join_object(device_items)))
-        root = _sha256(_join_object(top_items))
+        root = text_digest(_join_object(top_items))
         self._root_digests[layer.digest] = root
         return root
 
@@ -322,11 +311,11 @@ class WorldStore:
 def _join_object(items: list[tuple[str, str]]) -> str:
     """Assemble a JSON object from ``(string key, encoded value)`` pairs.
 
-    Byte-identical to ``json.dumps`` of the dict with ``sort_keys``:
+    Byte-identical to :func:`repro.io.canonical_json` of the dict:
     both sort by the raw string key and join with ``,``/``:`` and no
     whitespace.
     """
-    pieces = [f"{json.dumps(key, ensure_ascii=False)}:{text}"
+    pieces = [f"{canonical_json(key)}:{text}"
               for key, text in sorted(items)]
     return "{" + ",".join(pieces) + "}"
 

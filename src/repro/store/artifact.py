@@ -29,8 +29,9 @@ Strings never appear in the row data: every string-valued cell is an
 artifact stores each source name exactly once.  Chunks stream: a
 writer may append row batches incrementally (the header carries no
 counts; the footer, written on close, does), and the finished file
-lands atomically via temp file + ``os.replace`` so a directory scan
-never sees a half-written artifact.
+lands through :class:`repro.io.AtomicFile` (temp file, fsync,
+``os.replace``, directory fsync), so a directory scan never sees a
+half-written artifact and a committed one survives a crash.
 
 Timestamps are 64-bit cycles (``array('q')``) and the derived
 ``latency_us`` column stores the *exact* ``array('d')`` floats the
@@ -50,7 +51,6 @@ import json
 import os
 import struct
 import sys
-import tempfile
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -58,6 +58,7 @@ from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from repro.core.policy import HandlingMode
 from repro.hypervisor.hypervisor import LatencyRecord
+from repro.io import AtomicFile
 from repro.sim.trace import TraceEvent, TraceKind, TraceRecorder
 
 #: First eight bytes of every artifact.
@@ -169,10 +170,11 @@ def trace_events_from_columns(columns: "Mapping[str, array]",
 class ArtifactWriter:
     """Streaming writer for one run artifact.
 
-    Opens a temp file next to ``path`` immediately; ``append_summary``
-    and ``append_trace`` each flush one chunk; :meth:`close` writes the
-    footer + checksum and atomically renames the file into place.
-    Usable as a context manager (aborting on exceptions).
+    Opens an :class:`~repro.io.AtomicFile` at ``path`` immediately;
+    ``append_summary`` and ``append_trace`` each write one chunk;
+    :meth:`close` writes the footer + checksum and commits the file
+    into place (or discards it, if the commit fails).  Usable as a
+    context manager (aborting on exceptions).
     """
 
     def __init__(self, path: "str | os.PathLike[str]",
@@ -184,10 +186,7 @@ class ArtifactWriter:
         self._trace_rows = 0
         self._bytes = 0
         self._sha = hashlib.sha256()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, self._tmp_name = tempfile.mkstemp(
-            dir=self.path.parent, prefix=self.path.name, suffix=".tmp")
-        self._handle = os.fdopen(fd, "wb")
+        self._file = AtomicFile(self.path, "wb")
         header = {
             "format": "repro-run-artifact",
             "version": FORMAT_VERSION,
@@ -206,7 +205,7 @@ class ArtifactWriter:
     # ------------------------------------------------------------ io
 
     def _write(self, data: bytes) -> None:
-        self._handle.write(data)
+        self._file.write(data)
         self._sha.update(data)
         self._bytes += len(data)
 
@@ -265,33 +264,30 @@ class ArtifactWriter:
     # -------------------------------------------------------- close
 
     def close(self) -> int:
-        """Finalize footer + checksum; atomically rename; return bytes."""
-        footer = {
-            "strings": self._interner.strings,
-            "latency_rows": self._latency_rows,
-            "trace_rows": self._trace_rows,
-        }
-        blob = json.dumps(footer, separators=(",", ":")).encode("utf-8")
-        self._write(b"FOOT")
-        self._write(_U32.pack(len(blob)))
-        self._write(blob)
-        digest = self._sha.digest()
-        self._handle.write(b"SUM0")
-        self._handle.write(digest)
-        self._bytes += 4 + len(digest)
-        self._handle.close()
-        os.replace(self._tmp_name, self.path)
+        """Finalize footer + checksum; commit the file; return bytes."""
+        try:
+            footer = {
+                "strings": self._interner.strings,
+                "latency_rows": self._latency_rows,
+                "trace_rows": self._trace_rows,
+            }
+            blob = json.dumps(footer, separators=(",", ":")).encode("utf-8")
+            self._write(b"FOOT")
+            self._write(_U32.pack(len(blob)))
+            self._write(blob)
+            digest = self._sha.digest()
+            self._file.write(b"SUM0")
+            self._file.write(digest)
+            self._bytes += 4 + len(digest)
+            self._file.commit()
+        except BaseException:
+            self._file.abort()
+            raise
         return self._bytes
 
     def abort(self) -> None:
         """Discard the temp file without producing an artifact."""
-        try:
-            self._handle.close()
-        finally:
-            try:
-                os.unlink(self._tmp_name)
-            except OSError:
-                pass
+        self._file.abort()
 
     def __enter__(self) -> "ArtifactWriter":
         return self
@@ -534,14 +530,19 @@ def _read_header(handle, path) -> "dict[str, Any]":
     magic = handle.read(len(MAGIC))
     if magic != MAGIC:
         raise ArtifactError(f"{path}: not a run artifact (bad magic)")
-    version = _U32.unpack(handle.read(4))[0]
+    prefix = handle.read(8)
+    if len(prefix) != 8:
+        raise ArtifactError(f"{path}: truncated header")
+    version, header_len = struct.unpack("<II", prefix)
     if version != FORMAT_VERSION:
         raise ArtifactError(
             f"{path}: unsupported artifact version {version} "
             f"(supported: {FORMAT_VERSION})"
         )
-    header_len = _U32.unpack(handle.read(4))[0]
     blob = handle.read(header_len)
     if len(blob) != header_len:
         raise ArtifactError(f"{path}: truncated header")
-    return json.loads(blob.decode("utf-8"))
+    try:
+        return json.loads(blob.decode("utf-8"))
+    except ValueError as error:
+        raise ArtifactError(f"{path}: corrupt header ({error})") from None

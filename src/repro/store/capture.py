@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Optional
 
+from repro.io import atomic_write
 from repro.store.artifact import ARTIFACT_SUFFIX, ArtifactWriter
 
 #: Campaign index format identifier (the sibling of the artifacts).
@@ -197,6 +197,10 @@ class CampaignStoreWriter:
                  campaign_meta: "dict[str, Any] | None" = None):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        # A previous campaign's index would describe artifacts this one
+        # is about to overwrite: until finalize() lands the new index,
+        # readers fall back to the self-describing artifact headers.
+        (self.directory / INDEX_NAME).unlink(missing_ok=True)
         self.campaign_meta = dict(campaign_meta or {})
         self.stats = StoreWriteStats()
         self._entries: "list[dict[str, Any]]" = []
@@ -289,19 +293,8 @@ class CampaignStoreWriter:
             "tasks": self._entries,
             "stats": self.stats.as_dict(),
         }
-        blob = json.dumps(index, indent=2, sort_keys=True) + "\n"
-        fd, tmp_name = tempfile.mkstemp(dir=self.directory,
-                                        prefix=INDEX_NAME, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(blob)
-            os.replace(tmp_name, self.directory / INDEX_NAME)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        atomic_write(self.directory / INDEX_NAME,
+                     json.dumps(index, indent=2, sort_keys=True) + "\n")
         self.stats.write_seconds += time.perf_counter() - started
         return self.stats
 

@@ -23,6 +23,7 @@ import sys
 from typing import Any, Optional, Sequence
 
 from repro.metrics.report import render_table
+from repro.store.artifact import ArtifactError
 from repro.store.runstore import RunStore, StoreQueryStats
 
 
@@ -211,7 +212,7 @@ def main(argv: "Optional[Sequence[str]]" = None) -> int:
         if args.command == "aggregate":
             return _cmd_aggregate(args, stats)
         return _cmd_diff(args, stats)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ArtifactError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

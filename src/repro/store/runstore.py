@@ -35,8 +35,8 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from repro.metrics.stats import LatencySummary, percentile, summarize
-from repro.store.artifact import ARTIFACT_SUFFIX, RunArtifact
-from repro.store.capture import INDEX_NAME
+from repro.store.artifact import ARTIFACT_SUFFIX, ArtifactError, RunArtifact
+from repro.store.capture import INDEX_FORMAT, INDEX_NAME
 
 
 @dataclass
@@ -164,6 +164,27 @@ class DiffResult:
         }
 
 
+def _read_index(path: Path) -> "list[dict[str, Any]]":
+    """The task entries of a campaign ``index.json``.
+
+    A truncated, unparsable or format-skewed index raises
+    :class:`~repro.store.artifact.ArtifactError` naming the file.
+    """
+    try:
+        index = json.loads(path.read_bytes())
+    except ValueError as error:
+        raise ArtifactError(f"{path}: unreadable campaign index "
+                            f"({error})") from None
+    fmt = index.get("format") if isinstance(index, dict) else None
+    if fmt != INDEX_FORMAT:
+        raise ArtifactError(f"{path}: unsupported campaign index format "
+                            f"{fmt!r} (supported: {INDEX_FORMAT!r})")
+    tasks = index.get("tasks")
+    if not isinstance(tasks, list):
+        raise ArtifactError(f"{path}: campaign index has no task list")
+    return tasks
+
+
 class RunStore:
     """A directory of run artifacts, scanned once, queried many times.
 
@@ -191,8 +212,7 @@ class RunStore:
         refs: "list[ArtifactRef]" = []
         index_path = self.directory / INDEX_NAME
         if index_path.is_file():
-            index = json.loads(index_path.read_text())
-            for order, entry in enumerate(index.get("tasks", [])):
+            for order, entry in enumerate(_read_index(index_path)):
                 name = entry.get("artifact")
                 if not name:
                     continue

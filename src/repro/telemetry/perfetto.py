@@ -40,9 +40,9 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
+from repro.io import AtomicFile
 from repro.metrics.timeline import lane_of
 from repro.sim.trace import TraceKind, TraceRecorder
 
@@ -281,8 +281,8 @@ def write_chrome_trace(path: "str | os.PathLike[str]",
     """Write a Chrome trace JSON file; returns the event count.
 
     The file is the standard ``{"traceEvents": [...]}`` object form
-    with run metadata under ``otherData``, written atomically (temp
-    file + ``os.replace``) so a crashed export never leaves a
+    with run metadata under ``otherData``, written through
+    :class:`repro.io.AtomicFile` so a crashed export never leaves a
     truncated, unloadable trace behind.
     """
     events = chrome_trace_events(trace, clock=clock,
@@ -299,21 +299,9 @@ def write_chrome_trace(path: "str | os.PathLike[str]",
         "displayTimeUnit": "ms",
         "otherData": other,
     }
-    target = os.fspath(path)
-    directory = os.path.dirname(target) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, separators=(",", ":"))
-            handle.write("\n")
-        os.replace(tmp_name, target)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    with AtomicFile(path, "w") as handle:
+        json.dump(document, handle, separators=(",", ":"))
+        handle.write("\n")
     return len(events)
 
 

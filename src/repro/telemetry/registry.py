@@ -33,6 +33,8 @@ import time
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
+from repro.io import atomic_write
+
 #: Default histogram bucket upper bounds (seconds-flavoured, matching
 #: the Prometheus client defaults closely enough for wall-time data).
 DEFAULT_BUCKETS = (0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
@@ -469,9 +471,7 @@ class MetricsRegistry:
                    metadata: "Mapping[str, Any] | None" = None) -> Path:
         """Write :meth:`to_json` to a file; returns the path."""
         target = Path(path)
-        if target.parent and not target.parent.exists():
-            target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(self.to_json(metadata))
+        atomic_write(target, self.to_json(metadata))
         return target
 
     def __repr__(self) -> str:

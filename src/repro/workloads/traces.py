@@ -13,6 +13,8 @@ import json
 from pathlib import Path
 from typing import Sequence, Union
 
+from repro.io import atomic_write
+
 
 class ActivationTrace:
     """A monotone sequence of activation timestamps (cycles)."""
@@ -100,7 +102,7 @@ class ActivationTrace:
     def save(self, path: Union[str, Path]) -> None:
         """Persist the trace to a JSON file."""
         payload = {"format": "repro-activation-trace-v1", "times": self._times}
-        Path(path).write_text(json.dumps(payload))
+        atomic_write(path, json.dumps(payload))
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "ActivationTrace":

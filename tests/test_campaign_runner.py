@@ -313,10 +313,52 @@ def test_write_bench_json_records_host(tmp_path):
     assert host["platform"]
 
 
-def test_write_bench_json_survives_corrupt_history(tmp_path):
+def test_write_bench_json_survives_corrupt_history(tmp_path, capsys):
     target = tmp_path / "BENCH_experiments.json"
     target.write_text("{not json")
     write_bench_json(target, scale_name="smoke", jobs=1,
                      experiment_seconds={"design": 0.1})
     history = json.loads(target.read_text())
     assert len(history["runs"]) == 1
+    # The corrupt bytes are kept aside, never overwritten.
+    aside = list(tmp_path.glob("BENCH_experiments.json.corrupt-*"))
+    assert len(aside) == 1
+    assert aside[0].read_text() == "{not json"
+    assert aside[0].name in capsys.readouterr().err
+
+
+def test_write_bench_json_checksums_history(tmp_path):
+    from repro.io import canonical_digest
+
+    target = tmp_path / "BENCH_experiments.json"
+    for seconds in (0.1, 0.2):
+        write_bench_json(target, scale_name="smoke", jobs=1,
+                         experiment_seconds={"design": seconds})
+    history = json.loads(target.read_text())
+    assert len(history["runs"]) == 2
+    assert history["sha256"] == canonical_digest(history["runs"])
+
+
+def test_write_bench_json_appends_to_history_without_checksum(tmp_path):
+    """Histories written before the trailer existed load unchecked."""
+    target = tmp_path / "BENCH_experiments.json"
+    target.write_text(json.dumps({"runs": [{"scale": "old"}]}, indent=2))
+    write_bench_json(target, scale_name="smoke", jobs=1,
+                     experiment_seconds={"design": 0.1})
+    history = json.loads(target.read_text())
+    assert [run["scale"] for run in history["runs"]] == ["old", "smoke"]
+    assert not list(tmp_path.glob("*.corrupt-*"))
+
+
+def test_write_bench_json_quarantines_checksum_mismatch(tmp_path):
+    target = tmp_path / "BENCH_experiments.json"
+    write_bench_json(target, scale_name="smoke", jobs=1,
+                     experiment_seconds={"design": 0.1})
+    tampered = target.read_text().replace('"smoke"', '"paper"')
+    target.write_text(tampered)
+    write_bench_json(target, scale_name="quick", jobs=1,
+                     experiment_seconds={"design": 0.1})
+    history = json.loads(target.read_text())
+    assert [run["scale"] for run in history["runs"]] == ["quick"]
+    aside = list(tmp_path.glob("BENCH_experiments.json.corrupt-*"))
+    assert [path.read_text() for path in aside] == [tampered]

@@ -5,7 +5,8 @@
 queue-name guard (history written before the single heap queue says
 ``bucket``, and is skipped rather than misreported) and that history
 records carrying the retired ``engine_subtree_ab`` section still
-compare cleanly.
+compare cleanly, and that histories with and without the ``sha256``
+trailer both load.
 """
 
 from __future__ import annotations
@@ -73,3 +74,20 @@ def test_history_with_retired_subtree_section_compares_cleanly(
     out = capsys.readouterr().out
     assert "subtree" not in out
     assert "no regressions beyond threshold." in out
+
+
+def test_reads_histories_with_and_without_checksum(tmp_path):
+    from repro.experiments.runner import write_bench_json
+
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(json.dumps({"runs": [_engine_run("heap", 1.0)]}))
+    assert compare_bench.load_runs(legacy) == [_engine_run("heap", 1.0)]
+    current = tmp_path / "current.json"
+    for seconds in (1.0, 1.1):
+        write_bench_json(current, scale_name="smoke", jobs=1,
+                         experiment_seconds={"fig6a": seconds})
+    assert "sha256" in json.loads(current.read_text())
+    runs = compare_bench.load_runs(current)
+    assert [run["experiment_wall_seconds"]["fig6a"] for run in runs] \
+        == [1.0, 1.1]
+    assert compare_bench.main(["--file", str(current)]) == 0

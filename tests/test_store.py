@@ -442,6 +442,16 @@ class TestQueryCli:
         assert len(payload["groups"]) == 1
         assert payload["groups"][0]["mean_delta"] == pytest.approx(4.0)
 
+    def test_bad_index_prints_error_and_exits_nonzero(self, tmp_path,
+                                                      capsys):
+        from repro.store.cli import main
+        index = build_store(tmp_path / "a", SPEC_A) / INDEX_NAME
+        index.write_bytes(index.read_bytes()[:40])
+        assert main(["list", str(tmp_path / "a")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(index) in err
+
     def test_experiments_cli_intercepts_query(self, tmp_path, capsys):
         from repro.experiments.__main__ import main
         build_store(tmp_path / "a", SPEC_A)
