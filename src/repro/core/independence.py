@@ -61,10 +61,18 @@ class InterferenceInterval:
 
 
 class InterferenceLedger:
-    """Append-only record of interference intervals, queryable per victim."""
+    """Append-only record of interference intervals, queryable per victim.
+
+    Recording is on the IRQ hot path (several intervals per IRQ) while
+    only a few experiments ever read the ledger, so :meth:`record`
+    validates and appends a plain tuple; the tuples are boxed into
+    :class:`InterferenceInterval` objects on the first read after them.
+    """
 
     def __init__(self):
         self._intervals: list[InterferenceInterval] = []
+        # Recorded but not yet boxed: (start, end, victim, source, kind).
+        self._unboxed: list[tuple] = []
         self._epoch = 0
 
     @property
@@ -80,20 +88,29 @@ class InterferenceLedger:
     def record(self, start: int, end: int, victim: str, source: str,
                kind: InterferenceKind) -> None:
         """Record one interval of foreign execution inside a victim's slot."""
-        self._intervals.append(
-            InterferenceInterval(start, end, victim, source, kind)
-        )
+        if end < start:
+            raise ValueError(f"interval end {end} before start {start}")
+        self._unboxed.append((start, end, victim, source, kind))
         self._epoch += 1
+
+    def _boxed(self) -> list[InterferenceInterval]:
+        """All intervals in record order, boxing any still unboxed."""
+        if self._unboxed:
+            self._intervals.extend(
+                InterferenceInterval(*entry) for entry in self._unboxed
+            )
+            self._unboxed.clear()
+        return self._intervals
 
     @property
     def intervals(self) -> list[InterferenceInterval]:
-        return list(self._intervals)
+        return list(self._boxed())
 
     def snapshot_state(self) -> list:
         """Plain-data interval list (see :mod:`repro.sim.snapshot`)."""
         return [
             (iv.start, iv.end, iv.victim, iv.source, iv.kind.value)
-            for iv in self._intervals
+            for iv in self._boxed()
         ]
 
     def restore_state(self, state: list) -> None:
@@ -102,6 +119,7 @@ class InterferenceLedger:
                                  InterferenceKind(kind))
             for start, end, victim, source, kind in state
         ]
+        self._unboxed = []
         self._epoch += 1
 
     def for_victim(self, victim: str,
@@ -110,7 +128,7 @@ class InterferenceLedger:
         """All intervals charged to ``victim`` (optionally filtered by kind)."""
         wanted = set(kinds) if kinds is not None else None
         return [
-            iv for iv in self._intervals
+            iv for iv in self._boxed()
             if iv.victim == victim and (wanted is None or iv.kind in wanted)
         ]
 
@@ -119,7 +137,7 @@ class InterferenceLedger:
               kinds: Optional[Iterable[InterferenceKind]] = None) -> int:
         """Total interference cycles for ``victim`` within a window."""
         if window_end is None:
-            window_end = max((iv.end for iv in self._intervals), default=0)
+            window_end = max((iv.end for iv in self._boxed()), default=0)
         return sum(
             iv.overlap(window_start, window_end)
             for iv in self.for_victim(victim, kinds)

@@ -15,6 +15,7 @@ monitors the activation pattern of one IRQ source; Section 5 defines
 from __future__ import annotations
 
 import enum
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from repro.core.learning import (
@@ -31,6 +32,12 @@ class HandlingMode(enum.Enum):
     DIRECT = "direct"          # subscriber's own slot was active
     INTERPOSED = "interposed"  # executed inside a foreign slot
     DELAYED = "delayed"        # waited for the subscriber's own slot
+
+    # Every IRQ looks a mode up in a dict and reads its value.  Enum
+    # equality is identity, so the identity hash is consistent with
+    # it; both replace Python-level Enum methods with C slots.
+    __hash__ = object.__hash__
+    value = property(attrgetter("_value_"))
 
 
 class InterposingPolicy:

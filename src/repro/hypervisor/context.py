@@ -13,6 +13,7 @@ paper's "~10 % increase in the number of context switches" result.
 from __future__ import annotations
 
 import enum
+from operator import attrgetter
 from typing import Dict
 
 from repro.hypervisor.config import CostModel
@@ -24,6 +25,13 @@ class SwitchReason(enum.Enum):
     SLOT = "slot"                    # TDMA slot boundary
     INTERPOSE_ENTER = "interpose_enter"
     INTERPOSE_EXIT = "interpose_exit"
+
+    # Hot: every switch bumps a dict keyed by reason, and trace calls
+    # read ``.value``.  Enum equality is identity, so the identity hash
+    # is consistent with it; both replace Python-level Enum methods
+    # with C slots.
+    __hash__ = object.__hash__
+    value = property(attrgetter("_value_"))
 
 
 class ContextSwitchModel:

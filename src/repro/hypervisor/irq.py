@@ -175,13 +175,16 @@ class IrqQueue:
         return self._max_depth
 
     def push(self, event: IrqEvent) -> None:
-        if self._capacity is not None and len(self._queue) >= self._capacity:
+        queue = self._queue
+        if self._capacity is not None and len(queue) >= self._capacity:
             raise IrqQueueOverflow(
                 f"IRQ queue overflow (capacity {self._capacity}) pushing {event!r}"
             )
-        self._queue.append(event)
+        queue.append(event)
         self._pushed += 1
-        self._max_depth = max(self._max_depth, len(self._queue))
+        depth = len(queue)
+        if depth > self._max_depth:
+            self._max_depth = depth
 
     def head(self) -> Optional[IrqEvent]:
         """Peek the oldest pending event without removing it."""

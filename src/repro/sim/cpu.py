@@ -16,10 +16,16 @@ always sum to elapsed simulation time.  Tests rely on this.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Any, Callable, Optional
 
 from repro.sim.engine import SimulationEngine
 from repro.sim.events import EventHandle
+
+#: Label of every CPU completion event.  One constant rather than a
+#: per-assign ``f"complete-{label}"``: labels only name events in
+#: diagnostics, and ``assign`` runs several times per IRQ.
+COMPLETION_LABEL = "cpu-complete"
 
 
 class Execution:
@@ -102,7 +108,9 @@ class Cpu:
         self._current: Optional[Execution] = None
         self._started_at: int = 0
         self._completion: Optional[EventHandle] = None
-        self._consumed_by_category: dict[str, int] = {}
+        # A defaultdict so the hot charge paths bump a category with a
+        # C-level ``+=`` instead of a ``dict.get`` call.
+        self._consumed_by_category: defaultdict[str, int] = defaultdict(int)
         self._preemptions: int = 0
         self.segments: Optional[list[CpuSegment]] = (
             [] if record_segments else None
@@ -134,19 +142,20 @@ class Cpu:
                 f"CPU busy with {self._current.label}; preempt before assigning "
                 f"{execution.label}"
             )
-        if execution.finished:
-            # Zero-budget work completes immediately without occupying
-            # the CPU; this keeps degenerate configurations (C_BH = 0)
-            # well-defined.
+        remaining = execution.remaining
+        if remaining == 0:
+            # Zero-budget work (``execution.finished``) completes
+            # immediately without occupying the CPU; this keeps
+            # degenerate configurations (C_BH = 0) well-defined.
             if execution.on_complete is not None:
                 execution.on_complete()
             return
         self._current = execution
-        self._started_at = self._engine.now
-        if execution.remaining is not None:
-            self._completion = self._engine.schedule(
-                execution.remaining, self._complete, label=f"complete-{execution.label}"
-            )
+        engine = self._engine
+        self._started_at = engine.now
+        if remaining is not None:
+            self._completion = engine.schedule(remaining, self._complete,
+                                               COMPLETION_LABEL)
         else:
             self._completion = None
 
@@ -177,7 +186,7 @@ class Cpu:
             raise ValueError(f"overhead must be >= 0, got {cycles}")
         if self._current is not None:
             raise CpuBusyError("cannot charge overhead while an execution is running")
-        self._bump(category, cycles)
+        self._consumed_by_category[category] += cycles
         if self.segments is not None and cycles > 0:
             now = self._engine.now
             self.segments.append(
@@ -206,7 +215,7 @@ class Cpu:
         elapsed = now - self._started_at
         if elapsed:
             execution.executed += elapsed
-            self._bump(execution.category, elapsed)
+            self._consumed_by_category[execution.category] += elapsed
             if self.segments is not None:
                 self.segments.append(CpuSegment(
                     self._started_at, now, execution.category, execution.label
@@ -220,7 +229,7 @@ class Cpu:
         """:meth:`charge_overhead` as of clock ``end`` (CPU must be free)."""
         if self._current is not None:
             raise CpuBusyError("cannot charge overhead while an execution is running")
-        self._bump(category, cycles)
+        self._consumed_by_category[category] += cycles
         if self.segments is not None and cycles > 0:
             self.segments.append(CpuSegment(end - cycles, end, category, category))
 
@@ -229,7 +238,7 @@ class Cpu:
         ``end``, preempt — collapsed into its accounting residue."""
         elapsed = end - start
         if elapsed:
-            self._bump(category, elapsed)
+            self._consumed_by_category[category] += elapsed
             if self.segments is not None:
                 self.segments.append(CpuSegment(start, end, category, label))
         self._preemptions += 1
@@ -237,8 +246,9 @@ class Cpu:
     def skip_account(self, consumed: "dict[str, int]", preemptions: int) -> None:
         """Bulk residue of many elided stints (closed-form tier; only
         used with segment recording off)."""
+        totals = self._consumed_by_category
         for category, cycles in consumed.items():
-            self._bump(category, cycles)
+            totals[category] += cycles
         self._preemptions += preemptions
 
     def consumed(self, category: str) -> int:
@@ -297,7 +307,7 @@ class Cpu:
         ``resolve_owner(spec)`` inverts ``describe_owner``: it returns
         ``(owner, on_complete)`` for the plain-data owner spec.
         """
-        self._consumed_by_category = dict(state["consumed"])
+        self._consumed_by_category = defaultdict(int, state["consumed"])
         self._preemptions = state["preemptions"]
         if state["segments"] is not None:
             self.segments = [CpuSegment(*entry) for entry in state["segments"]]
@@ -312,8 +322,7 @@ class Cpu:
             if current["completion"] is not None:
                 time, seq = current["completion"]
                 self._completion = self._engine.restore_event(
-                    time, seq, self._complete,
-                    label=f"complete-{execution.label}",
+                    time, seq, self._complete, label=COMPLETION_LABEL,
                 )
 
     # ------------------------------------------------------------------
@@ -321,29 +330,26 @@ class Cpu:
     # ------------------------------------------------------------------
 
     def _charge(self, execution: Execution) -> None:
-        elapsed = self._engine.now - self._started_at
+        now = self._engine.now
+        started_at = self._started_at
+        elapsed = now - started_at
         if elapsed == 0:
             return
         execution.executed += elapsed
-        if execution.remaining is not None:
-            if elapsed > execution.remaining:
+        remaining = execution.remaining
+        if remaining is not None:
+            if elapsed > remaining:
                 raise RuntimeError(
                     f"{execution.label} charged {elapsed} cycles with only "
-                    f"{execution.remaining} remaining (engine bug)"
+                    f"{remaining} remaining (engine bug)"
                 )
-            execution.remaining -= elapsed
-        self._bump(execution.category, elapsed)
+            execution.remaining = remaining - elapsed
+        self._consumed_by_category[execution.category] += elapsed
         if self.segments is not None:
             self.segments.append(CpuSegment(
-                self._started_at, self._engine.now,
-                execution.category, execution.label,
+                started_at, now, execution.category, execution.label,
             ))
-        self._started_at = self._engine.now
-
-    def _bump(self, category: str, cycles: int) -> None:
-        self._consumed_by_category[category] = (
-            self._consumed_by_category.get(category, 0) + cycles
-        )
+        self._started_at = now
 
     def _complete(self) -> None:
         execution = self._current

@@ -90,7 +90,7 @@ class SimulationEngine:
     #: Recorded by telemetry, run manifests and bench records.
     backend_name = "heap"
 
-    __slots__ = ("_heap", "_now", "_seq", "_events_executed", "_running",
+    __slots__ = ("_heap", "now", "_seq", "_events_executed", "_running",
                  "_stop_requested", "_pending", "_cancelled_count",
                  "_dead", "_compactions", "_sentinel_seq",
                  "_dispatch_batches", "_idle_skip", "_skip_allowed",
@@ -103,7 +103,11 @@ class SimulationEngine:
         # off the handle, and (time, seq) uniqueness guarantees the
         # trailing elements are never compared during sifts.
         self._heap: list[tuple] = []
-        self._now: int = 0
+        #: Current simulation time in cycles.  A plain slot rather than
+        #: a property — every IRQ reads it a dozen times — and
+        #: read-only by convention: only the engine's dispatch loops,
+        #: ``fast_forward`` and ``restore_state`` write it.
+        self.now: int = 0
         self._seq: int = 0
         self._events_executed: int = 0
         self._running = False
@@ -144,11 +148,6 @@ class SimulationEngine:
     # ------------------------------------------------------------------
     # Counters and introspection
     # ------------------------------------------------------------------
-
-    @property
-    def now(self) -> int:
-        """Current simulation time in cycles."""
-        return self._now
 
     @property
     def events_executed(self) -> int:
@@ -214,7 +213,7 @@ class SimulationEngine:
         ownership (heap claims) is unchanged since a capture basis and
         only pure component state can have mutated.
         """
-        return (self._now, self._seq, self._events_executed,
+        return (self.now, self._seq, self._events_executed,
                 self._cancelled_count, self._pending)
 
     # ------------------------------------------------------------------
@@ -278,9 +277,9 @@ class SimulationEngine:
         exactly what those events would have consumed, so every later
         event keeps its tick-by-tick ``(time, seq)`` identity.
         """
-        if now < self._now:
+        if now < self.now:
             raise SimulationError(
-                f"cannot fast-forward backwards (t={now}, now={self._now})"
+                f"cannot fast-forward backwards (t={now}, now={self.now})"
             )
         if elided_events < 0:
             raise SimulationError(
@@ -288,10 +287,10 @@ class SimulationEngine:
             )
         self._skip_spans += 1
         self._skipped_events += elided_events
-        self._skipped_cycles += now - self._now
+        self._skipped_cycles += now - self.now
         if len(self._skip_span_log) < SKIP_SPAN_LOG_CAP:
-            self._skip_span_log.append((self._now, now, elided_events))
-        self._now = now
+            self._skip_span_log.append((self.now, now, elided_events))
+        self.now = now
         self._seq += elided_events
         self._events_executed += elided_events
 
@@ -305,7 +304,7 @@ class SimulationEngine:
         """Schedule ``callback`` to run ``delay`` cycles from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule an event in the past (delay={delay})")
-        time = self._now + delay
+        time = self.now + delay
         seq = self._seq
         self._seq = seq + 1
         # Allocate the handle without a Python-level __init__ call.
@@ -325,9 +324,9 @@ class SimulationEngine:
                     label: Optional[str] = None, *,
                     _push=heappush, _new=EventHandle.__new__, _cls=EventHandle) -> EventHandle:
         """Schedule ``callback`` to run at absolute time ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule an event in the past (t={time}, now={self._now})"
+                f"cannot schedule an event in the past (t={time}, now={self.now})"
             )
         seq = self._seq
         self._seq = seq + 1
@@ -352,7 +351,7 @@ class SimulationEngine:
         self._running = True
         self._stop_requested = False
         heap = self._heap
-        now = self._now
+        now = self.now
         batches = 0
         # Unbounded runs open the skip window: a dispatched callback
         # may fast-forward the clock across a quiescent gap (never past
@@ -370,7 +369,7 @@ class SimulationEngine:
                     # Same-cycle batch dispatch: the clock is written
                     # only when the timestamp actually advances.
                     if time != now:
-                        self._now = now = time
+                        self.now = now = time
                         batches += 1
                     handle._fired = True
                     executed += 1
@@ -383,7 +382,7 @@ class SimulationEngine:
                     if handle._cancelled:
                         continue
                     if time != now:
-                        self._now = now = time
+                        self.now = now = time
                         batches += 1
                     handle._fired = True
                     executed += 1
@@ -406,13 +405,13 @@ class SimulationEngine:
 
         Returns the number of events executed by this call.
         """
-        if time < self._now:
-            raise SimulationError(f"cannot run backwards (t={time}, now={self._now})")
+        if time < self.now:
+            raise SimulationError(f"cannot run backwards (t={time}, now={self.now})")
         executed = 0
         self._running = True
         self._stop_requested = False
         heap = self._heap
-        now = self._now
+        now = self.now
         batches = 0
         self._skip_allowed = True
         self._run_bound = time
@@ -426,7 +425,7 @@ class SimulationEngine:
                     break
                 _pop(heap)
                 if event_time != now:
-                    self._now = now = event_time
+                    self.now = now = event_time
                     batches += 1
                 handle._fired = True
                 executed += 1
@@ -440,7 +439,7 @@ class SimulationEngine:
             self._pending -= executed
             self._dispatch_batches += batches
         if not self._stop_requested:
-            self._now = max(self._now, time)
+            self.now = max(self.now, time)
         return executed
 
     def step(self) -> bool:
@@ -454,8 +453,8 @@ class SimulationEngine:
             time, _seq, callback, handle = heappop(heap)
             if handle._cancelled:
                 continue
-            if time != self._now:
-                self._now = time
+            if time != self.now:
+                self.now = time
                 self._dispatch_batches += 1
             handle._fired = True
             self._pending -= 1
@@ -534,9 +533,9 @@ class SimulationEngine:
         sentinel is meaningfully pending at a time, so sentinels never
         need to be ordered among themselves.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule an event in the past (t={time}, now={self._now})"
+                f"cannot schedule an event in the past (t={time}, now={self.now})"
             )
         seq = self._sentinel_seq
         self._sentinel_seq = seq - 1
@@ -584,7 +583,7 @@ class SimulationEngine:
         off and for a forked continuation.
         """
         return {
-            "now": self._now,
+            "now": self.now,
             "seq": self._seq,
             "events_executed": self._events_executed,
             "events_cancelled": self._cancelled_count,
@@ -600,7 +599,7 @@ class SimulationEngine:
         """
         if self.heap_depth or self._seq or self._events_executed:
             raise SimulationError("can only restore state onto a fresh engine")
-        self._now = state["now"]
+        self.now = state["now"]
         self._seq = state["seq"]
         self._events_executed = state["events_executed"]
         self._cancelled_count = state["events_cancelled"]
@@ -613,9 +612,9 @@ class SimulationEngine:
         sequence number: the restored entry must sort exactly where
         the original did among simultaneous events.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot restore an event in the past (t={time}, now={self._now})"
+                f"cannot restore an event in the past (t={time}, now={self.now})"
             )
         if seq >= self._seq:
             raise SimulationError(
@@ -628,4 +627,4 @@ class SimulationEngine:
         return handle
 
     def __repr__(self) -> str:
-        return f"SimulationEngine(now={self._now}, pending={self.pending_events})"
+        return f"SimulationEngine(now={self.now}, pending={self.pending_events})"

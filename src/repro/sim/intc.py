@@ -71,7 +71,8 @@ class InterruptController:
         flag is not a counter).  Delivery happens immediately when the
         CPU is unmasked, otherwise when interrupts are next enabled.
         """
-        self._check_line(line)
+        if not 0 <= line < self._num_lines:
+            self._check_line(line)
         self._raise_counts[line] += 1
         if self._pending[line]:
             self._coalesced_counts[line] += 1
@@ -83,7 +84,8 @@ class InterruptController:
             self._live += 1
         if self._trace is not None:
             self._trace.emit(self._engine.now, TraceKind.IRQ_RAISED, line=line)
-        self._maybe_deliver()
+        if not self._globally_masked:
+            self._maybe_deliver()
 
     # ------------------------------------------------------------------
     # CPU-side interface
@@ -122,7 +124,8 @@ class InterruptController:
 
     def acknowledge(self, line: int) -> None:
         """Clear the pending flag for a line (done by the top handler)."""
-        self._check_line(line)
+        if not 0 <= line < self._num_lines:
+            self._check_line(line)
         if self._pending[line]:
             self._pending[line] = False
             if self._enabled[line]:
@@ -133,7 +136,8 @@ class InterruptController:
         return self._pending[line]
 
     def line_enabled(self, line: int) -> bool:
-        self._check_line(line)
+        if not 0 <= line < self._num_lines:
+            self._check_line(line)
         return self._enabled[line]
 
     # ------------------------------------------------------------------
@@ -167,7 +171,8 @@ class InterruptController:
         is emitted at that timestamp (the bulk path passes no time:
         it only runs with tracing disabled).
         """
-        self._check_line(line)
+        if not 0 <= line < self._num_lines:
+            self._check_line(line)
         self._raise_counts[line] += count
         self._delivered_counts[line] += count
         if time is not None and self._trace is not None:
@@ -231,14 +236,10 @@ class InterruptController:
     # ------------------------------------------------------------------
 
     def _check_line(self, line: int) -> None:
+        # The per-IRQ entry points (raise_line, acknowledge, ...) run
+        # this range test inline and only call here to raise.
         if not 0 <= line < self._num_lines:
             raise ValueError(f"IRQ line {line} out of range [0, {self._num_lines})")
-
-    def _next_deliverable(self) -> Optional[int]:
-        for line in range(self._num_lines):
-            if self._pending[line] and self._enabled[line]:
-                return line
-        return None
 
     def _maybe_deliver(self) -> None:
         """Deliver the highest-priority pending line if allowed.
@@ -249,11 +250,15 @@ class InterruptController:
         if self._dispatcher is None or self._dispatching or not self._live:
             return
         self._dispatching = True
+        pending = self._pending
+        enabled = self._enabled
         try:
             while not self._globally_masked and self._live:
-                line = self._next_deliverable()
-                if line is None:
-                    break
+                # Highest priority = lowest line number.  ``_live`` > 0
+                # guarantees a pending-and-enabled line exists.
+                line = 0
+                while not (pending[line] and enabled[line]):
+                    line += 1
                 self._delivered_counts[line] += 1
                 self._dispatcher(line)
                 # The dispatcher typically masks interrupts and returns;

@@ -29,6 +29,8 @@ class OneShotTimer:
         self._intc = intc
         self._line = line
         self.name = name
+        # Built once: ``program`` runs on every IRQ of a load source.
+        self._expiry_label = f"{name}-expiry"
         self._handle: Optional[EventHandle] = None
         self._expirations = 0
         self._epoch = 0
@@ -64,10 +66,13 @@ class OneShotTimer:
         """
         if delay_cycles < 0:
             raise ValueError(f"timer delay must be >= 0, got {delay_cycles}")
-        self.cancel()
+        # cancel(), inlined: EventHandle.cancel() is itself a no-op on
+        # a fired or cancelled handle.
+        if self._handle is not None:
+            self._handle.cancel()
         self._handle = self._engine.schedule(delay_cycles, self._expire,
-                                             label=f"{self.name}-expiry")
-        self._epoch += 1
+                                             self._expiry_label)
+        self._epoch += 2  # one bump for the cancel, one for the re-arm
 
     def cancel(self) -> None:
         """Disarm the timer if armed."""
@@ -116,7 +121,7 @@ class OneShotTimer:
         if state["armed"] is not None:
             time, seq = state["armed"]
             self._handle = self._engine.restore_event(
-                time, seq, self._expire, label=f"{self.name}-expiry"
+                time, seq, self._expire, label=self._expiry_label
             )
 
 
@@ -134,6 +139,7 @@ class IntervalSequenceTimer(OneShotTimer):
                  line: int, intervals: Sequence[int], name: str = "irq-gen"):
         super().__init__(engine, intc, line, name)
         self._intervals = list(intervals)
+        self._count = len(self._intervals)
         self._index = 0
         for value in self._intervals:
             if value < 0:
@@ -142,16 +148,16 @@ class IntervalSequenceTimer(OneShotTimer):
     @property
     def remaining(self) -> int:
         """Number of unconsumed interarrival values."""
-        return len(self._intervals) - self._index
+        return self._count - self._index
 
     @property
     def exhausted(self) -> bool:
-        return self._index >= len(self._intervals)
+        return self._index >= self._count
 
     @property
     def interval_count(self) -> int:
         """Total length of the interarrival sequence (consumed or not)."""
-        return len(self._intervals)
+        return self._count
 
     def arm_next(self) -> bool:
         """Program the timer with the next interarrival value.
@@ -159,10 +165,11 @@ class IntervalSequenceTimer(OneShotTimer):
         Returns True if the timer was armed, False if the sequence is
         exhausted.
         """
-        if self.exhausted:
+        index = self._index
+        if index >= self._count:
             return False
-        self.program(self._intervals[self._index])
-        self._index += 1
+        self.program(self._intervals[index])
+        self._index = index + 1
         return True
 
     def on_irq_top(self, event) -> None:

@@ -7,9 +7,16 @@ behavioural drift (update the snapshot deliberately when semantics
 change — the EXPERIMENTS.md numbers must move with it).
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.fig6 import Fig6Config, run_fig6
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_snapshot():
@@ -59,3 +66,29 @@ class TestPinnedSnapshot:
         assert result.mode_counts.get("delayed", 0) == 0
         assert result.avg_latency_us == pytest.approx(73.41, abs=0.5)
         assert result.max_latency_us == pytest.approx(97.03, abs=0.1)
+
+
+def run_cli(args, hash_seed):
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith("REPRO_")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env["PYTHONHASHSEED"] = str(hash_seed)
+    result = subprocess.run(
+        [sys.executable, "-m", "repro.experiments", *args,
+         "--smoke", "--no-cache", "--jobs", "1"],
+        env=env, capture_output=True, check=True)
+    return result.stdout
+
+
+@pytest.mark.parametrize("experiment", ["validation", "tab62"])
+def test_stdout_independent_of_hash_seed(experiment):
+    """Handling modes and switch reasons hash by identity (see
+    ``HandlingMode.__hash__``), and strings hash per ``PYTHONHASHSEED``:
+    no output may depend on the iteration order of a set or on a hash
+    value, so two interpreters with different hash seeds must print
+    byte-identical results."""
+    first = run_cli([experiment], hash_seed=0)
+    second = run_cli([experiment], hash_seed=4242)
+    assert first
+    assert first == second

@@ -183,3 +183,118 @@ def test_property_eq14_monotone_and_superlinear(dmin, cost, width):
     assert bound.max_interference(width) >= bound.max_interference(max(0, width - 1))
     # never below the fluid rate
     assert bound.max_interference(width) >= math.floor(width / dmin) * cost
+
+
+# ----------------------------------------------------------------------
+# Lazy boxing: ``record`` stores plain tuples and the queries box them
+# on first read.  Whatever the interleaving of records and reads, every
+# answer must equal an eager ledger's.
+# ----------------------------------------------------------------------
+
+class EagerLedger:
+    """Reference ledger: boxes every interval at record time and
+    answers each query by brute force."""
+
+    def __init__(self):
+        self.intervals = []
+
+    def record(self, start, end, victim, source, kind):
+        self.intervals.append(InterferenceInterval(start, end, victim, source, kind))
+
+    def for_victim(self, victim, kinds=None):
+        return [iv for iv in self.intervals if iv.victim == victim
+                and (kinds is None or iv.kind in kinds)]
+
+    def total(self, victim, window_start=0, window_end=None, kinds=None):
+        if window_end is None:
+            window_end = max((iv.end for iv in self.intervals), default=0)
+        return sum(iv.overlap(window_start, window_end)
+                   for iv in self.for_victim(victim, kinds))
+
+    def max_window_interference(self, victim, width, kinds=None):
+        return brute_force_max_window(
+            [(iv.start, iv.end) for iv in self.for_victim(victim, kinds)], width)
+
+    def snapshot_state(self):
+        return [(iv.start, iv.end, iv.victim, iv.source, iv.kind.value)
+                for iv in self.intervals]
+
+
+VICTIMS = st.sampled_from(["P1", "P2", "P3"])
+KIND_FILTERS = st.one_of(
+    st.none(), st.lists(st.sampled_from(list(InterferenceKind)),
+                        max_size=3, unique=True).map(tuple))
+LEDGER_OPS = st.one_of(
+    st.tuples(st.just("record"), st.integers(0, 2_000), st.integers(0, 300),
+              VICTIMS, st.sampled_from(["irq0", "irq1"]),
+              st.sampled_from(list(InterferenceKind))),
+    st.tuples(st.just("intervals")),
+    st.tuples(st.just("for_victim"), VICTIMS, KIND_FILTERS),
+    st.tuples(st.just("total"), VICTIMS, st.integers(0, 2_500),
+              st.one_of(st.none(), st.integers(0, 2_500)), KIND_FILTERS),
+    st.tuples(st.just("max_window"), VICTIMS, st.integers(1, 1_000),
+              KIND_FILTERS),
+    st.tuples(st.just("snapshot")),
+    st.tuples(st.just("restore")),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=st.lists(LEDGER_OPS, max_size=40))
+def test_property_lazy_ledger_matches_eager_reference(ops):
+    ledger = InterferenceLedger()
+    reference = EagerLedger()
+    for op in ops:
+        name = op[0]
+        epoch = ledger.snapshot_epoch
+        if name == "record":
+            _, start, length, victim, source, kind = op
+            ledger.record(start, start + length, victim, source, kind)
+            reference.record(start, start + length, victim, source, kind)
+            # Every record moves the epoch, boxed or not.
+            assert ledger.snapshot_epoch == epoch + 1
+            continue
+        if name == "intervals":
+            assert ledger.intervals == reference.intervals
+        elif name == "for_victim":
+            _, victim, kinds = op
+            assert (ledger.for_victim(victim, kinds)
+                    == reference.for_victim(victim, kinds))
+        elif name == "total":
+            _, victim, window_start, window_end, kinds = op
+            assert (ledger.total(victim, window_start, window_end, kinds)
+                    == reference.total(victim, window_start, window_end, kinds))
+        elif name == "max_window":
+            _, victim, width, kinds = op
+            assert (ledger.max_window_interference(victim, width, kinds)
+                    == reference.max_window_interference(victim, width, kinds))
+        elif name == "snapshot":
+            assert ledger.snapshot_state() == reference.snapshot_state()
+        else:
+            # A snapshot round trip through a fresh ledger: the restored
+            # ledger keeps answering like the reference.
+            restored = InterferenceLedger()
+            restored.restore_state(ledger.snapshot_state())
+            ledger = restored
+            continue
+        # Reads box lazily but never move the epoch.
+        assert ledger.snapshot_epoch == epoch
+    assert ledger.intervals == reference.intervals
+    assert ledger.snapshot_state() == reference.snapshot_state()
+
+
+@settings(max_examples=50, deadline=None)
+@given(recorded=st.integers(0, 5), start=st.integers(1, 1_000),
+       shortfall=st.integers(1, 1_000))
+def test_property_record_rejects_inverted_interval_at_record_time(
+        recorded, start, shortfall):
+    ledger = InterferenceLedger()
+    for index in range(recorded):
+        ledger.record(index, index + 1, "P1", "irq", InterferenceKind.OTHER)
+    epoch = ledger.snapshot_epoch
+    with pytest.raises(ValueError, match="before start"):
+        ledger.record(start, start - shortfall, "P1", "irq",
+                      InterferenceKind.INTERPOSED_BH)
+    # The rejected interval left no trace, boxed or unboxed.
+    assert ledger.snapshot_epoch == epoch
+    assert len(ledger.intervals) == recorded

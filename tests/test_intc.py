@@ -123,6 +123,18 @@ class TestLineControl:
         with pytest.raises(ValueError):
             intc.raise_line(-1)
 
+    @pytest.mark.parametrize("method", [
+        "raise_line", "acknowledge", "line_enabled", "is_pending",
+        "enable_line", "disable_line", "account_slot_deliveries",
+        "raise_count", "coalesced_count", "delivered_count",
+    ])
+    def test_every_line_entry_point_checks_range(self, method):
+        _, intc, _ = make_intc(num_lines=4)
+        for line in (4, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                getattr(intc, method)(line)
+        assert intc.raise_count(0) == intc.delivered_count(0) == 0
+
     def test_needs_at_least_one_line(self):
         engine = SimulationEngine()
         with pytest.raises(ValueError):

@@ -16,6 +16,25 @@ class TestRecording:
         trace.emit(10, TraceKind.IRQ_RAISED)
         assert len(trace) == 0
 
+    def test_toggling_enabled_switches_recording(self):
+        trace = TraceRecorder(enabled=False)
+        trace.enabled = True
+        trace.emit(1, TraceKind.CUSTOM, note="kept")
+        trace.enabled = False
+        trace.emit(2, TraceKind.CUSTOM, note="dropped")
+        trace.enabled = True
+        trace.emit(3, TraceKind.CUSTOM)
+        assert [(e.time, e.data) for e in trace] == [(1, {"note": "kept"}),
+                                                     (3, {})]
+
+    def test_restore_state_applies_enabled_flag(self):
+        for enabled in (False, True):
+            restored = TraceRecorder(enabled=not enabled)
+            restored.restore_state(TraceRecorder(enabled=enabled).snapshot_state())
+            restored.emit(1, TraceKind.CUSTOM)
+            assert restored.enabled is enabled
+            assert len(restored) == int(enabled)
+
     def test_capacity_evicts_oldest(self):
         trace = TraceRecorder(capacity=2)
         for t in range(5):
