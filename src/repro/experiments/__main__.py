@@ -195,7 +195,6 @@ def _export_telemetry(args, *, scale, jobs: int, cache, telemetry,
     seed (see :mod:`repro.telemetry.run`); cache and campaign-runner
     metrics are sampled from the run itself.
     """
-    from repro.sim.worldstore import default_store
     from repro.telemetry import (
         MetricsRegistry,
         collect_cache,
@@ -213,16 +212,11 @@ def _export_telemetry(args, *, scale, jobs: int, cache, telemetry,
         # repro.telemetry.run), making the store the trace's source of
         # truth.
         store.write_traced_run(replay)
-    # The process-global world store holds whatever warm-world layers
-    # this invocation captured in-process (campaign workers keep their
-    # own stores); exporting it adds the sim_world_* sharing metrics
-    # and the capture-log Perfetto track.
     written = export_traced_run(
         replay,
         trace_path=args.trace_out,
         registry=registry,
         campaign=telemetry,
-        world_store=default_store(),
         metadata={"scale": scale.name, "jobs": jobs},
     )
     if args.trace_out is not None:
@@ -284,11 +278,6 @@ def main(argv: "list[str] | None" = None) -> int:
                         help="worker processes for the campaign "
                              "(default: os.cpu_count(); 1 = serial, "
                              "in-process)")
-    parser.add_argument("--no-shared-prefix", action="store_true",
-                        help="do not fork fig7/sweep continuations from a "
-                             "shared snapshot; re-simulate every task's "
-                             "prefix straight-line (results are "
-                             "byte-identical either way)")
     parser.add_argument("--cache-dir", metavar="DIR", default=None,
                         help="directory of the incremental result cache "
                              "(default: $REPRO_CACHE_DIR or .repro-cache)")
@@ -367,9 +356,7 @@ def main(argv: "list[str] | None" = None) -> int:
         started = time.perf_counter()
         merged = run_campaign((name,), scale, seed=args.seed, jobs=jobs,
                               cache=cache, telemetry=telemetry,
-                              progress=progress,
-                              shared_prefix=not args.no_shared_prefix,
-                              store=store)
+                              progress=progress, store=store)
         output = _render_one(name, merged[name], args.export)
         elapsed = time.perf_counter() - started
         experiment_seconds[name] = elapsed

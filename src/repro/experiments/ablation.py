@@ -25,15 +25,11 @@ from repro.core.independence import DminInterferenceBound
 from repro.core.monitor import DeltaMinusMonitor
 from repro.core.policy import MonitoredInterposing, NeverInterpose
 from repro.experiments.common import (
-    IRQ_TIMER_DEVICE,
     PaperSystemConfig,
     ScenarioResult,
     ScenarioSummary,
-    build_warm_world,
     run_irq_scenario,
-    run_irq_scenario_from,
 )
-from repro.sim.snapshot import restore_world
 from repro.metrics.report import render_table
 from repro.workloads.synthetic import bursty_interarrivals
 
@@ -66,14 +62,11 @@ def run_boost_ablation(system: "PaperSystemConfig | None" = None,
                        intra_burst_us: float = 150.0,
                        inter_burst_us: float = 20_000.0,
                        window_us: float = 2_000.0,
-                       seed: int = 11,
-                       shared_warmup: bool = True) -> BoostAblationResult:
+                       seed: int = 11) -> BoostAblationResult:
     """Burst workload through the monitor and through Xen-style boost.
 
-    Both legs run the identical system over the identical bursts; with
-    ``shared_warmup`` they fork one warm world captured at t=0 and only
-    differ in the policy installed on the fork (byte-identical to two
-    straight-line runs, pinned by the determinism tests).
+    Both legs run the identical system over the identical bursts and
+    differ only in the policy.
     """
     system = system or PaperSystemConfig()
     clock = system.clock()
@@ -84,27 +77,11 @@ def run_boost_ablation(system: "PaperSystemConfig | None" = None,
         clock.us_to_cycles(inter_burst_us),
         seed=seed,
     )
-    if shared_warmup:
-        warm = build_warm_world(system, NeverInterpose(), intervals)
-
-        def install(policy_factory):
-            def configure(hv, timer, source) -> None:
-                source.policy = policy_factory()
-            return configure
-
-        monitored = run_irq_scenario_from(
-            warm, system,
-            configure=install(lambda: MonitoredInterposing(
-                DeltaMinusMonitor.from_dmin(dmin))),
-        )
-        boosted = run_irq_scenario_from(warm, system,
-                                        configure=install(BoostPolicy))
-    else:
-        monitored = run_irq_scenario(
-            system, MonitoredInterposing(DeltaMinusMonitor.from_dmin(dmin)),
-            intervals,
-        )
-        boosted = run_irq_scenario(system, BoostPolicy(), intervals)
+    monitored = run_irq_scenario(
+        system, MonitoredInterposing(DeltaMinusMonitor.from_dmin(dmin)),
+        intervals,
+    )
+    boosted = run_irq_scenario(system, BoostPolicy(), intervals)
 
     c_bh_eff = system.effective_bottom_cycles(clock)
     bound = DminInterferenceBound(dmin, c_bh_eff)
@@ -152,8 +129,7 @@ class ThrottleAblationResult:
 def run_throttle_ablation(system: "PaperSystemConfig | None" = None,
                           irq_count: int = 1_500,
                           dmin_us: float = 1_444.0,
-                          seed: int = 13,
-                          shared_warmup: bool = True) -> ThrottleAblationResult:
+                          seed: int = 13) -> ThrottleAblationResult:
     """Same admitted rate, opposite effects: loss vs latency.
 
     The workload is a normal d_min-adherent phase (two thirds of the
@@ -178,22 +154,11 @@ def run_throttle_ablation(system: "PaperSystemConfig | None" = None,
     )
 
     # Throttled system: unmodified delayed handling, throttle at source.
-    # Both legs share the same warm world; the throttle (like a policy
-    # swap) is only consulted at IRQ delivery, so installing it on the
-    # t=0 fork is indistinguishable from installing it before start().
-    warm = (build_warm_world(system, NeverInterpose(), intervals)
-            if shared_warmup else None)
-    if warm is not None:
-        hv_throttled, devices = restore_world(warm)
-        timer = devices[IRQ_TIMER_DEVICE]
-        throttle = MinDistanceThrottle(dmin)
-        hv_throttled.irq_source(system.irq_name).throttle = throttle
-    else:
-        hv_throttled, timer = system.build(NeverInterpose(), intervals)
-        throttle = MinDistanceThrottle(dmin)
-        hv_throttled.irq_source(system.irq_name).throttle = throttle
-        hv_throttled.start()
-        timer.arm_next()
+    hv_throttled, timer = system.build(NeverInterpose(), intervals)
+    throttle = MinDistanceThrottle(dmin)
+    hv_throttled.irq_source(system.irq_name).throttle = throttle
+    hv_throttled.start()
+    timer.arm_next()
     hv_throttled.run_until_irq_count(
         len(intervals), limit_cycles=round(600.0 * system.frequency_hz)
     )
@@ -210,19 +175,10 @@ def run_throttle_ablation(system: "PaperSystemConfig | None" = None,
         total_context_switches=hv_throttled.context_switches.total,
     )
 
-    if warm is not None:
-        def install_monitor(hv, timer, source) -> None:
-            source.policy = MonitoredInterposing(
-                DeltaMinusMonitor.from_dmin(dmin)
-            )
-
-        monitored = run_irq_scenario_from(warm, system,
-                                          configure=install_monitor)
-    else:
-        monitored = run_irq_scenario(
-            system, MonitoredInterposing(DeltaMinusMonitor.from_dmin(dmin)),
-            intervals,
-        )
+    monitored = run_irq_scenario(
+        system, MonitoredInterposing(DeltaMinusMonitor.from_dmin(dmin)),
+        intervals,
+    )
     return ThrottleAblationResult(
         throttled=throttled,
         monitored=monitored.lightweight(),
@@ -250,8 +206,7 @@ class DepthAblationResult:
 def run_depth_ablation(system: "PaperSystemConfig | None" = None,
                        activation_count: int = 3_000,
                        depth: int = 5,
-                       seed: int = 29,
-                       shared_warmup: bool = True) -> DepthAblationResult:
+                       seed: int = 29) -> DepthAblationResult:
     """Why the monitor supports l > 1 tables (Appendix A setup).
 
     Both monitors are derived from the same learned trace statistics
@@ -279,31 +234,14 @@ def run_depth_ablation(system: "PaperSystemConfig | None" = None,
     shallow_dmin = max(1, round(table[-1] / depth))
 
     intervals = trace.distance_array()
-    if shared_warmup:
-        warm = build_warm_world(system, NeverInterpose(), intervals)
-
-        def install(make_monitor):
-            def configure(hv, timer, source) -> None:
-                source.policy = MonitoredInterposing(make_monitor())
-            return configure
-
-        deep = run_irq_scenario_from(
-            warm, system, configure=install(lambda: DeltaMinusMonitor(table))
-        )
-        shallow = run_irq_scenario_from(
-            warm, system,
-            configure=install(
-                lambda: DeltaMinusMonitor.from_dmin(shallow_dmin)),
-        )
-    else:
-        deep = run_irq_scenario(
-            system, MonitoredInterposing(DeltaMinusMonitor(table)), intervals
-        )
-        shallow = run_irq_scenario(
-            system,
-            MonitoredInterposing(DeltaMinusMonitor.from_dmin(shallow_dmin)),
-            intervals,
-        )
+    deep = run_irq_scenario(
+        system, MonitoredInterposing(DeltaMinusMonitor(table)), intervals
+    )
+    shallow = run_irq_scenario(
+        system,
+        MonitoredInterposing(DeltaMinusMonitor.from_dmin(shallow_dmin)),
+        intervals,
+    )
     return DepthAblationResult(
         shallow_dmin_us=clock.cycles_to_us(shallow_dmin),
         deep_table_us=[clock.cycles_to_us(value) for value in table],

@@ -220,11 +220,14 @@ def source_fingerprint(module_name: str,
 def result_digest(result: Any) -> str:
     """Stable content digest of one task result.
 
-    Results that define ``digest()`` (world snapshots, prefix/warm-up
-    wrappers) use it — their digest is a hash over canonical plain
-    data, stable across processes.  Anything else is hashed through
-    its pickle, which is exactly the representation the cache stores
-    and the byte-identity tests pin.
+    Results that define ``digest()`` (world snapshots) use it — their
+    digest is a hash over canonical plain data, stable across
+    processes.  Anything else is hashed through its pickle, which is
+    exactly the representation the cache stores and the byte-identity
+    tests pin.  Cache keys never fold in a result digest (every task
+    is fingerprinted from its own kwargs and sources alone); the
+    function stays as the ``cache.digest`` layer that
+    ``perfbench/traced_campaign.py`` wraps.
     """
     digest = getattr(result, "digest", None)
     if callable(digest):
@@ -233,15 +236,8 @@ def result_digest(result: Any) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def task_fingerprint(task: Any, root_package: str = "repro",
-                     parent_digests: "tuple[str, ...]" = ()) -> str:
-    """Content-address one campaign task (see the module docstring).
-
-    ``parent_digests`` carries the result digests of the tasks this one
-    depends on (``task.needs``), in order — a forked task's fingerprint
-    folds in the exact snapshot it forks from, so a cached continuation
-    is only replayed when its parent's world is byte-identical too.
-    """
+def task_fingerprint(task: Any, root_package: str = "repro") -> str:
+    """Content-address one campaign task (see the module docstring)."""
     from repro.experiments.runner import TASK_FUNCTIONS
 
     function = TASK_FUNCTIONS[task.kind]
@@ -251,11 +247,6 @@ def task_fingerprint(task: Any, root_package: str = "repro",
         "kwargs": canonicalize(dict(task.kwargs)),
         "source": source_fingerprint(function.__module__, root_package),
     }
-    if parent_digests:
-        payload["parents"] = list(parent_digests)
-        feed = getattr(task, "feed", None)
-        if feed:
-            payload["feed"] = feed
     return canonical_digest(payload)
 
 

@@ -268,9 +268,9 @@ def build_warm_world(system: PaperSystemConfig,
 
     The instant after ``start()`` + ``arm_next()`` — before the first
     arrival — is always quiescent: the only pending events are the TDMA
-    boundary and the armed IRQ timer.  Sweep and ablation drivers
-    capture this warm world once and fork per-point variants from it,
-    skipping the (identical) construction work per point.
+    boundary and the armed IRQ timer.  The campaign never forks (every
+    task runs straight-line); this and :func:`fork_warm_variant` serve
+    the world-store library, its tests and its fork benchmark.
 
     The capture is interned into ``store`` (the per-process default
     when omitted), so warm worlds that share a prefix share storage
@@ -333,29 +333,6 @@ def fork_warm_variant(
     return fork_snapshot(snapshot, {"world.sources": new_sources})
 
 
-def fork_point_snapshot(snapshot: WorldSnapshot, system: PaperSystemConfig,
-                        policy: InterposingPolicy):
-    """Install ``policy`` on a warm world's IRQ source, preferring the
-    O(changes) data-level fork.
-
-    Returns ``(snapshot, configure)`` for
-    :func:`run_irq_scenario_from`.  A layered snapshot is forked at the
-    data level (:func:`fork_warm_variant`) and needs no configure hook;
-    a flat one — e.g. a warm world that crossed a process boundary and
-    pickled down to a plain :class:`WorldSnapshot` — keeps the classic
-    restore-then-configure path.  Both are byte-identical, which the
-    fork-tree property tests pin.
-    """
-    if isinstance(snapshot, LayeredSnapshot):
-        return (fork_warm_variant(snapshot, policy=policy,
-                                  source_name=system.irq_name), None)
-
-    def install_policy(hv, timer, source) -> None:
-        source.policy = policy
-
-    return snapshot, install_policy
-
-
 def run_irq_scenario_from(
     snapshot: WorldSnapshot,
     system: PaperSystemConfig,
@@ -366,9 +343,9 @@ def run_irq_scenario_from(
     """Fork a scenario continuation from a snapshot and run it out.
 
     ``configure(hv, timer, source)`` runs on the freshly restored world
-    before execution resumes — the hook the drivers use to install a
-    per-point policy/throttle variant (or re-target a still-learning
-    policy's bound) on top of a shared warm-up.  The caller guarantees
+    before execution resumes — the hook for installing a policy or
+    throttle variant (or re-targeting a still-learning policy's bound)
+    on top of a shared warm-up.  The caller guarantees
     the configuration change is invisible to the already-executed
     prefix, so the continuation stays byte-identical to a straight-line
     run of the same variant.

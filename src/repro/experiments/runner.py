@@ -9,13 +9,11 @@ per-load Fig. 6 cells) instead of sharing mutable state:
 campaign   task decomposition
 ========== =====================================================
 fig6a/b/c  one task per interrupt load (3 each)
-fig7       shared learning-phase prefix (1) + one forked task
-           per bound case a–d (4)
+fig7       one task per bound case a–d (4)
 tab62      one task per interrupt load (3)
 validation classic leg + monitored leg (2)
 ablation   boost / throttle / depth (3)
-sweep      one task per cycle-scale (4) + shared warm world (1)
-           + one forked task per d_min multiplier (5)
+sweep      one task per cycle-scale (4) + one per d_min multiplier (5)
 design     single task (1)
 ========== =====================================================
 
@@ -24,14 +22,10 @@ loops do, and the merge functions consume task results in the serial
 order, ``run_campaign(..., jobs=N)`` is **byte-identical** to
 ``jobs=1`` for every N: parallelism only changes wall-clock time.
 
-Tasks that fork a shared snapshot (fig7 cases, d_min points) declare
-the snapshot task in ``needs`` and receive its result through the
-``feed`` kwarg.  One executor (:func:`_run_tasks`) runs the list in
-topological waves (:func:`_task_waves`): a forked task starts once its
-parent's wave has finished, as an independent work item that carries
-the parent snapshot with it.  Dependencies therefore never reach a
-worker unresolved, and the byte-identity contract extends across the
-whole task list.
+No task depends on another's result: a fig7 case replays its own
+learning phase, a sweep point builds its own world.  One executor
+(:func:`_run_tasks`) therefore probes the cache once and runs every
+miss as an independent work item, in-process or over one pool.
 
 Workload generation inside the workers is cheap and deterministic
 (:mod:`repro.workloads` memoizes interarrival arrays and traces), so
@@ -45,8 +39,6 @@ runs inside the task.
 
 from __future__ import annotations
 
-import contextlib
-import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -69,26 +61,13 @@ from repro.experiments.ablation import (
     run_depth_ablation,
     run_throttle_ablation,
 )
-from repro.experiments.cache import (
-    ResultCache,
-    result_digest,
-    task_fingerprint,
-)
+from repro.experiments.cache import ResultCache, task_fingerprint
 from repro.experiments.design import run_design
 from repro.experiments.fig6 import Fig6Config, merge_fig6_loads, run_fig6_load
-from repro.experiments.fig7 import (
-    FIG7_CASES,
-    Fig7Config,
-    run_fig7_case,
-    run_fig7_prefix,
-)
+from repro.experiments.fig7 import FIG7_CASES, Fig7Config, run_fig7_case
 from repro.experiments.overhead import merge_overhead, run_overhead_load
 from repro.experiments.scale import ExperimentScale
-from repro.experiments.sweep import (
-    run_cycle_sweep_point,
-    run_dmin_sweep_point,
-    run_dmin_warmup,
-)
+from repro.experiments.sweep import run_cycle_sweep_point, run_dmin_sweep_point
 from repro.experiments.validation import (
     merge_validation,
     run_validation_classic,
@@ -103,24 +82,11 @@ DEFAULT_LOADS = (0.01, 0.05, 0.10)
 
 @dataclass(frozen=True)
 class CampaignTask:
-    """One picklable unit of campaign work.
-
-    Most tasks are independent; a *forked* task additionally names the
-    campaign-wide indices of the tasks it ``needs`` finished first (its
-    snapshot parents) and the kwarg (``feed``) through which the first
-    parent's result is injected before dispatch.  The executor runs the
-    task list in dependency waves, each forked task as its own work
-    item; results keep their task-list positions, so the ordered-merge
-    byte-identity contract is unchanged.
-    """
+    """One picklable, self-contained unit of campaign work."""
 
     experiment: str                     #: campaign id ("fig6a", "sweep", ...)
     kind: str                           #: dispatch key into TASK_FUNCTIONS
     kwargs: "dict[str, Any]" = field(default_factory=dict)
-    #: Indices (into the campaign task list) of prerequisite tasks.
-    needs: "tuple[int, ...]" = ()
-    #: Kwarg name receiving the first prerequisite's result, if any.
-    feed: "str | None" = None
 
     def __repr__(self) -> str:          # compact pool-debugging aid
         return f"CampaignTask({self.experiment}:{self.kind})"
@@ -131,9 +97,7 @@ class CampaignTask:
 #: multiprocessing start method.
 TASK_FUNCTIONS: "dict[str, Callable[..., Any]]" = {
     "fig6-load": run_fig6_load,
-    "fig7-prefix": run_fig7_prefix,
     "fig7-case": run_fig7_case,
-    "sweep-dmin-warmup": run_dmin_warmup,
     "overhead-load": run_overhead_load,
     "validation-classic": run_validation_classic,
     "validation-monitored": run_validation_monitored,
@@ -236,18 +200,12 @@ _execute_subtree = _execute_item  # name perfbench/traced_campaign.py wraps
 
 
 def plan_experiment(name: str, scale: ExperimentScale, seed: int,
-                    shared_prefix: bool = True,
                     ) -> "tuple[list[CampaignTask], Callable[[list], Any]]":
     """Decompose one experiment into tasks plus a merge function.
 
     The merge function runs in the parent process and consumes the task
     results *in task order* — the same order the serial loops produce —
     so merged results do not depend on worker scheduling.
-
-    With ``shared_prefix`` (the default) the fig7 and sweep campaigns
-    gain a first-wave snapshot task (the shared learning phase / warm
-    world) that the per-case and per-point tasks fork from via
-    ``needs``/``feed``; results stay byte-identical either way.
     """
     if name.startswith("fig6") and name[-1] in ("a", "b", "c"):
         scenario = name[-1]
@@ -265,16 +223,6 @@ def plan_experiment(name: str, scale: ExperimentScale, seed: int,
             activation_count=scale.fig7_activations, seed=seed,
         ))
         labels = tuple(FIG7_CASES)
-        if shared_prefix:
-            tasks = [CampaignTask(name, "fig7-prefix", {"config": config})]
-            tasks += [
-                CampaignTask(name, "fig7-case",
-                             {"label": label, "config": config},
-                             needs=(0,), feed="prefix")
-                for label in labels
-            ]
-            # results[0] is the prefix snapshot, not a case.
-            return tasks, lambda results: dict(zip(labels, results[1:]))
         tasks = [
             CampaignTask(name, "fig7-case", {"label": label, "config": config})
             for label in labels
@@ -323,21 +271,6 @@ def plan_experiment(name: str, scale: ExperimentScale, seed: int,
             for value in cycle_scales
         ]
         split = len(cycle_scales)
-        if shared_prefix:
-            warmup = CampaignTask(name, "sweep-dmin-warmup",
-                                  {"irq_count": scale.sweep_irqs,
-                                   "seed": seed})
-            dmin_tasks = [
-                CampaignTask(name, "sweep-dmin-point",
-                             {"multiplier": value,
-                              "irq_count": scale.sweep_irqs, "seed": seed},
-                             needs=(split,), feed="warmup")
-                for value in multipliers
-            ]
-            tasks = cycle_tasks + [warmup] + dmin_tasks
-            # results[split] is the warm-up snapshot, not a point.
-            return tasks, lambda results: (results[:split],
-                                           results[split + 1:])
         tasks = cycle_tasks + [
             CampaignTask(name, "sweep-dmin-point",
                          {"multiplier": value, "irq_count": scale.sweep_irqs,
@@ -353,26 +286,13 @@ def plan_experiment(name: str, scale: ExperimentScale, seed: int,
 
 
 def plan_campaign(names: Sequence[str], scale: ExperimentScale, seed: int,
-                  shared_prefix: bool = True,
                   ) -> "tuple[list[CampaignTask], dict[str, Callable]]":
-    """Flatten the selected experiments into one task list.
-
-    Per-experiment ``needs`` indices are local to that experiment's
-    task list; flattening rebases them onto campaign-wide positions.
-    """
+    """Flatten the selected experiments into one task list."""
     tasks: "list[CampaignTask]" = []
     merges: "dict[str, Callable]" = {}
     for name in names:
-        experiment_tasks, merge = plan_experiment(name, scale, seed,
-                                                  shared_prefix)
-        base = len(tasks)
-        for task in experiment_tasks:
-            if task.needs:
-                task = dataclasses.replace(
-                    task, needs=tuple(base + need for need in task.needs)
-                )
-            tasks.append(task)
-        merges[name] = merge
+        experiment_tasks, merges[name] = plan_experiment(name, scale, seed)
+        tasks.extend(experiment_tasks)
     return tasks, merges
 
 
@@ -382,47 +302,6 @@ def _pool_context() -> multiprocessing.context.BaseContext:
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
-
-
-def _task_waves(tasks: "list[CampaignTask]") -> "list[list[int]]":
-    """Group task indices into topological waves.
-
-    Wave k holds every task whose prerequisites all completed in waves
-    < k; tasks without ``needs`` land in wave 0.  Within a wave the
-    original task-list order is preserved, which keeps results — and
-    the merges that consume them — independent of worker scheduling.
-    """
-    remaining = set(range(len(tasks)))
-    done: "set[int]" = set()
-    waves: "list[list[int]]" = []
-    while remaining:
-        wave = [index for index in sorted(remaining)
-                if all(need in done for need in tasks[index].needs)]
-        if not wave:
-            raise ValueError(
-                "campaign task dependencies are cyclic or point outside "
-                "the task list"
-            )
-        waves.append(wave)
-        done.update(wave)
-        remaining.difference_update(wave)
-    return waves
-
-
-def _materialize(task: CampaignTask, results: "list") -> CampaignTask:
-    """Inject a task's parent result into its kwargs before dispatch.
-
-    The returned task is what actually executes (and, for parallel
-    waves, what crosses the process boundary) — snapshots are plain
-    picklable data, so a forked continuation restores the parent world
-    inside the worker.  Cache fingerprints keep using the *original*
-    task plus the parent digests, never the injected kwargs.
-    """
-    if not task.needs or task.feed is None:
-        return task
-    kwargs = dict(task.kwargs)
-    kwargs[task.feed] = results[task.needs[0]]
-    return CampaignTask(task.experiment, task.kind, kwargs)
 
 
 def _record_task(telemetry: "CampaignTelemetry | None",
@@ -446,17 +325,14 @@ def _run_tasks(tasks: "list[CampaignTask]", jobs: int,
                progress: "Callable[[int, int, CampaignTask], None] | None"
                = None,
                epoch: "float | None" = None) -> "list":
-    """Execute tasks in dependency waves, in-process or over one pool.
+    """Execute independent tasks, in-process or over one pool.
 
-    Per wave, the parent replays cache hits first; each key folds in
-    the digests of the task's parents, computed on first use and
-    memoized per index, so a fork parent is digested at most once and
-    no other result ever is.  The misses then run through
-    :func:`_execute_item`: in-process when ``jobs <= 1`` or the wave
-    has a single miss, otherwise over ordered ``imap`` on one pool,
-    opened on the first parallel wave and reused for the rest of the
-    call.  Results land at their task indices, so merges see the same
-    order on every path; a fully warm run starts no pool at all.
+    The parent first replays every cache hit, then runs the misses
+    through :func:`_execute_item`: in-process when ``jobs <= 1`` or
+    there is a single miss, otherwise over ordered ``imap`` on one pool
+    of at most ``jobs`` workers.  Results land at their task indices,
+    so merges see the same order on every path; a fully warm run starts
+    no pool at all.
 
     Queue waits are measured against this call's start; started
     offsets against ``epoch`` (the shared campaign epoch), so worker
@@ -467,13 +343,7 @@ def _run_tasks(tasks: "list[CampaignTask]", jobs: int,
     base = 0.0 if epoch is None else call_started - epoch
     total = len(tasks)
     results: "list[Any]" = [None] * total
-    digests: "dict[int, str]" = {}
     done = 0
-
-    def parent_digest(index: int) -> str:
-        if index not in digests:
-            digests[index] = result_digest(results[index])
-        return digests[index]
 
     def record(index: int, *, cached: bool, wall: float, pickup: float,
                pid: int) -> None:
@@ -484,42 +354,36 @@ def _run_tasks(tasks: "list[CampaignTask]", jobs: int,
                      wait=0.0 if cached else pickup, offset=base + pickup,
                      pid=pid)
 
-    waves = _task_waves(tasks)
+    keys: "dict[int, str]" = {}
+    misses: "list[int]" = []
+    for index, task in enumerate(tasks):
+        if cache is not None:
+            keys[index] = task_fingerprint(task)
+            entry = cache.load(keys[index])
+            if entry is not None:
+                results[index] = entry.result
+                record(index, cached=True, wall=0.0,
+                       pickup=time.monotonic() - call_started,
+                       pid=os.getpid())
+                continue
+        misses.append(index)
+    items = [(tasks[index], call_started) for index in misses]
     pool = None
-    with contextlib.ExitStack() as stack:
-        for wave in waves:
-            keys: "dict[int, str]" = {}
-            misses: "list[int]" = []
-            for index in wave:
-                if cache is not None:
-                    task = tasks[index]
-                    parents = tuple(parent_digest(need) for need in task.needs)
-                    keys[index] = task_fingerprint(task,
-                                                   parent_digests=parents)
-                    entry = cache.load(keys[index])
-                    if entry is not None:
-                        results[index] = entry.result
-                        record(index, cached=True, wall=0.0,
-                               pickup=time.monotonic() - call_started,
-                               pid=os.getpid())
-                        continue
-                misses.append(index)
-            items = [(_materialize(tasks[index], results), call_started)
-                     for index in misses]
-            if jobs <= 1 or len(items) <= 1:
-                outcomes = map(_execute_item, items)
-            else:
-                if pool is None:
-                    size = min(jobs, max(map(len, waves)))
-                    pool = stack.enter_context(_pool_context().Pool(size))
-                outcomes = pool.imap(_execute_item, items, chunksize=1)
-            for index, (result, pickup, elapsed, pid) in zip(misses,
-                                                             outcomes):
-                if cache is not None:
-                    cache.store(keys[index], tasks[index], result, elapsed)
-                results[index] = result
-                record(index, cached=False, wall=elapsed, pickup=pickup,
-                       pid=pid)
+    if jobs <= 1 or len(items) <= 1:
+        outcomes = map(_execute_item, items)
+    else:
+        pool = _pool_context().Pool(min(jobs, len(items)))
+        outcomes = pool.imap(_execute_item, items, chunksize=1)
+    try:
+        for index, (result, pickup, elapsed, pid) in zip(misses, outcomes):
+            if cache is not None:
+                cache.store(keys[index], tasks[index], result, elapsed)
+            results[index] = result
+            record(index, cached=False, wall=elapsed, pickup=pickup,
+                   pid=pid)
+    finally:
+        if pool is not None:
+            pool.terminate()
     return results
 
 
@@ -529,15 +393,14 @@ def run_campaign(names: Sequence[str], scale: ExperimentScale,
                  telemetry: "CampaignTelemetry | None" = None,
                  progress: "Callable[[int, int, CampaignTask], None] | None"
                  = None,
-                 shared_prefix: bool = True,
                  store: "Any | None" = None,
                  ) -> "dict[str, Any]":
     """Run the selected experiment campaigns, optionally in parallel.
 
     ``jobs=1`` executes every task in-process, exactly like the
-    original serial loops.  ``jobs=N`` fans each dependency wave out
-    over one process pool of at most ``N`` workers, started once per
-    call, with ``chunksize=1`` (tasks have very uneven durations, so
+    original serial loops.  ``jobs=N`` fans the tasks out over one
+    process pool of at most ``N`` workers, started once per call, with
+    ``chunksize=1`` (tasks have very uneven durations, so
     greedy scheduling matters).  Either way the merge consumes results
     in the fixed task order, so the returned results — and anything
     rendered from them — are byte-identical.
@@ -552,12 +415,6 @@ def run_campaign(names: Sequence[str], scale: ExperimentScale,
     task completes, in the parent process) observe per-task timing
     without changing the ordered-results contract.
 
-    ``shared_prefix`` plans the fig7 and sweep campaigns with a
-    first-wave snapshot task their per-case/per-point tasks fork from
-    (see :mod:`repro.sim.snapshot`); disabling it re-runs every task's
-    prefix straight-line.  Both settings merge to byte-identical
-    results.
-
     ``store`` is any object exposing ``write_task(task, result,
     index)`` — in practice a
     :class:`repro.store.capture.CampaignStoreWriter` — called once per
@@ -570,7 +427,7 @@ def run_campaign(names: Sequence[str], scale: ExperimentScale,
     if jobs is None:
         jobs = os.cpu_count() or 1
     started = time.monotonic()
-    tasks, merges = plan_campaign(names, scale, seed, shared_prefix)
+    tasks, merges = plan_campaign(names, scale, seed)
     epoch: "float | None" = None
     if telemetry is not None:
         telemetry.jobs = jobs

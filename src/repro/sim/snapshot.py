@@ -1,13 +1,13 @@
 """Checkpoint/fork of complete simulation worlds.
 
-Redundant prefix re-execution is the largest remaining waste in the
-experiment campaigns: fig7's four bound cases share an identical
-learning phase, and every sweep/ablation point re-runs an identical
-warm-up.  This module lets a driver simulate the shared prefix *once*,
-capture the complete world — engine clock/seq/heap, hypervisor,
-scheduler, partitions, policies/monitors, timers, interrupt
-controller, trace recorder — and fork independent continuations that
-are **byte-identical** to straight-line runs.
+This module lets a driver simulate a shared prefix *once*, capture
+the complete world — engine clock/seq/heap, hypervisor, scheduler,
+partitions, policies/monitors, timers, interrupt controller, trace
+recorder — and fork independent continuations that are
+**byte-identical** to straight-line runs.  The experiment campaigns
+no longer fork (every task runs straight-line: forking saved ~2% of a
+campaign's CPU); the protocol stays as a library, exercised by its
+tests and the fork benchmark.
 
 Why not ``copy.deepcopy``?  Scheduled events are closures over the old
 world: deep-copying the heap would either duplicate the entire object
@@ -131,19 +131,13 @@ class WorldSnapshot:
 
     ``state`` contains only JSON-able data (dicts with string keys,
     lists, tuples, strings, ints, floats, bools, None), so the
-    snapshot crosses process boundaries (campaign workers) and hashes
-    stably for cache fingerprinting.
+    snapshot crosses process boundaries and hashes stably.
     """
 
     state: dict
 
     def digest(self) -> str:
-        """:func:`repro.io.canonical_digest` of the state.
-
-        Folded into the campaign-cache fingerprint of forked subtasks:
-        a child task's cached result is only replayed when the parent
-        snapshot it forked from is byte-identical too.
-        """
+        """:func:`repro.io.canonical_digest` of the state."""
         return canonical_digest(self.state)
 
 

@@ -65,10 +65,6 @@ from repro.sim.snapshot import (
 #: Keys of a snapshot ``state`` dict that are stored as their own parts.
 _TOP_SCALARS = ("format", "world_class", "pending")
 
-#: Cap on the capture-event log kept for Perfetto export.
-CAPTURE_LOG_CAP = 4096
-
-
 def resolve_store_budget(explicit: "int | None" = None) -> None:
     """Always ``None``: the store has no resident-bytes budget.
 
@@ -78,7 +74,7 @@ def resolve_store_budget(explicit: "int | None" = None) -> None:
 
 
 class WorldStoreStats:
-    """Counters exposed through telemetry as ``sim_world_layers_*``."""
+    """Sharing counters of one store (read by its tests and perfbench)."""
 
     __slots__ = ("fragments_stored", "fragment_dedup_hits", "bytes_stored",
                  "bytes_shared", "layers_created", "layer_dedup_hits",
@@ -217,9 +213,6 @@ class WorldStore:
         # layer digest -> whole-state digest (assembly memo)
         self._root_digests: dict[str, str] = {}
         self.stats = WorldStoreStats()
-        #: Capped ``(sim_time, kind, parts_changed, depth)`` capture log
-        #: rendered as a Perfetto track by :mod:`repro.telemetry`.
-        self.capture_log: list[tuple[int, str, int, int]] = []
 
     # -- fragments ----------------------------------------------------
 
@@ -299,13 +292,6 @@ class WorldStore:
         root = text_digest(_join_object(top_items))
         self._root_digests[layer.digest] = root
         return root
-
-    # -- capture log --------------------------------------------------
-
-    def log_capture(self, sim_time: int, kind: str, parts_changed: int,
-                    depth: int) -> None:
-        if len(self.capture_log) < CAPTURE_LOG_CAP:
-            self.capture_log.append((sim_time, kind, parts_changed, depth))
 
 
 def _join_object(items: list[tuple[str, str]]) -> str:
@@ -412,7 +398,6 @@ def _capture_full(world: Any, devices: dict[str, Any], store: WorldStore,
         parent, delta = basis.layer, changed
     layer = store.make_layer(parent, delta)
     store.stats.full_captures += 1
-    store.log_capture(world.engine.now, "full", len(delta), layer.depth)
     return (LayeredSnapshot(store, layer),
             ForkBasis(store, layer, world.engine.activity_fingerprint,
                       _collect_epochs(world, devices),
@@ -466,7 +451,6 @@ def _capture_fast(world: Any, devices: dict[str, Any], store: WorldStore,
                 })
     layer = store.make_layer(basis.layer, delta)
     store.stats.fast_captures += 1
-    store.log_capture(world.engine.now, "fast", len(delta), layer.depth)
     return (LayeredSnapshot(store, layer),
             ForkBasis(store, layer, world.engine.activity_fingerprint,
                       epochs, basis.device_names))
@@ -518,14 +502,4 @@ def fork_snapshot(snapshot: LayeredSnapshot,
             delta[key] = digest
     layer = store.make_layer(snapshot.layer, delta)
     store.stats.data_forks += 1
-    # The engine part's shared value gives the fork's simulation time
-    # in O(1) — fragment_value returns the interned object, never
-    # re-decoding, and .state is deliberately not touched (that would
-    # materialize the whole world and defeat the O(changes) fork).
-    engine_digest = mapping.get("world.engine")
-    engine_part = (store.fragment_value(engine_digest)
-                   if engine_digest is not None else None)
-    sim_time = (engine_part.get("now", 0)
-                if isinstance(engine_part, dict) else 0)
-    store.log_capture(sim_time, "fork", len(delta), layer.depth)
     return LayeredSnapshot(store, layer)

@@ -37,11 +37,8 @@ Timestamps are 64-bit cycles (``array('q')``) and the derived
 ``latency_us`` column stores the *exact* ``array('d')`` floats the
 live run produced via ``Clock.cycles_to_us`` — reading them back and
 feeding :func:`repro.metrics.stats.summarize` is bit-identical to
-summarizing the in-memory columns, which the store tests pin.
-
-An optional Arrow/parquet writer sits behind a soft import
-(:meth:`RunArtifact.to_parquet`); the binary format itself has zero
-dependencies.
+summarizing the in-memory columns, which the store tests pin.  The
+format has zero dependencies.
 """
 
 from __future__ import annotations
@@ -492,38 +489,6 @@ class RunArtifact:
     def trace_recorder(self) -> TraceRecorder:
         """An enabled recorder holding the stored trace stream."""
         return TraceRecorder.from_events(self.trace_events())
-
-    # ------------------------------------------------------- export
-
-    def to_parquet(self, path: "str | os.PathLike[str]") -> int:
-        """Write the latency rows as a parquet file (soft dependency).
-
-        Requires ``pyarrow``; raises a clear ``RuntimeError`` naming
-        the missing dependency when it is not installed — the binary
-        format itself never needs it.
-        """
-        try:
-            import pyarrow  # type: ignore[import-not-found]
-            import pyarrow.parquet  # type: ignore[import-not-found]
-        except ImportError as error:
-            raise RuntimeError(
-                "RunArtifact.to_parquet requires the optional 'pyarrow' "
-                "dependency, which is not installed"
-            ) from error
-        strings = self.strings
-        columns = self.latency
-        table = pyarrow.table({
-            "leg": [strings[i] for i in columns["leg"]],
-            "source": [strings[i] for i in columns["source"]],
-            "seq": list(columns["seq"]),
-            "arrival": list(columns["arrival"]),
-            "completed": list(columns["completed"]),
-            "mode": [strings[i] for i in columns["mode"]],
-            "enforced_cut": [bool(v) for v in columns["cut"]],
-            "latency_us": list(columns["latency_us"]),
-        })
-        pyarrow.parquet.write_table(table, os.fspath(path))
-        return self.latency_rows
 
 
 def _read_header(handle, path) -> "dict[str, Any]":

@@ -22,11 +22,6 @@ Track layout
   ``SimulationEngine.skip_span_log``) is a ``ph="X"`` span annotated
   with the number of events elided — making the fast-forwarded
   stretches visible next to the semantic trace instants they bracket.
-  A second "World captures" thread renders the layered world store's
-  capture log (see ``WorldStore.capture_log``): one ``ph="i"`` instant
-  per capture/fork at its simulation time, annotated with the capture
-  kind (fast/full/fork), how many parts landed in the child layer, and
-  the resulting layer depth.
 
 Timestamps are microseconds, as the format requires: simulation cycles
 go through :meth:`~repro.sim.clock.Clock.cycles_to_us` when a clock is
@@ -118,7 +113,6 @@ def chrome_trace_events(
     cpu_segments: Optional[Iterable[Any]] = None,
     campaign: Any = None,
     engine: Any = None,
-    world_store: Any = None,
 ) -> "list[dict]":
     """Build the flat ``traceEvents`` list for one run.
 
@@ -139,10 +133,6 @@ def chrome_trace_events(
         A :class:`~repro.sim.engine.SimulationEngine`; its recorded
         idle-skip spans become complete events on the "Engine" track
         (omitted entirely when no span was recorded).
-    world_store:
-        A :class:`~repro.sim.worldstore.WorldStore`; its capture log
-        becomes instants on a "World captures" thread of the "Engine"
-        track (omitted entirely when nothing was logged).
     """
     to_us = (clock.cycles_to_us if clock is not None
              else lambda cycles: cycles)
@@ -202,11 +192,8 @@ def chrome_trace_events(
             })
 
     spans = getattr(engine, "skip_span_log", None) if engine is not None else None
-    captures = (getattr(world_store, "capture_log", None)
-                if world_store is not None else None)
-    if spans or captures:
-        events.extend(_metadata(PID_ENGINE, "Engine"))
     if spans:
+        events.extend(_metadata(PID_ENGINE, "Engine"))
         events.extend(_metadata(PID_ENGINE, "", 1, "Idle-skip spans"))
         for start, end, elided in spans:
             start_us = to_us(start)
@@ -220,25 +207,6 @@ def chrome_trace_events(
                 "cat": "idle_skip",
                 "args": {"events_elided": elided,
                          "cycles": end - start},
-            })
-
-    if captures:
-        events.extend(_metadata(PID_ENGINE, "", 2, "World captures"))
-        # The log is in wall order; a store shared across worlds may
-        # interleave simulation times, so sort (stably) to keep the
-        # per-track monotonicity invariant the loader validates.
-        for sim_time, kind, parts_changed, depth in sorted(
-                captures, key=lambda entry: entry[0]):
-            events.append({
-                "ph": "i",
-                "s": "t",
-                "pid": PID_ENGINE,
-                "tid": 2,
-                "ts": to_us(sim_time),
-                "name": f"capture:{kind}",
-                "cat": "world_store",
-                "args": {"parts_changed": parts_changed,
-                         "layer_depth": depth},
             })
 
     if campaign is not None:
@@ -276,7 +244,6 @@ def write_chrome_trace(path: "str | os.PathLike[str]",
                        cpu_segments: Optional[Iterable[Any]] = None,
                        campaign: Any = None,
                        engine: Any = None,
-                       world_store: Any = None,
                        metadata: Optional[Mapping[str, Any]] = None) -> int:
     """Write a Chrome trace JSON file; returns the event count.
 
@@ -288,8 +255,7 @@ def write_chrome_trace(path: "str | os.PathLike[str]",
     events = chrome_trace_events(trace, clock=clock,
                                  cpu_segments=cpu_segments,
                                  campaign=campaign,
-                                 engine=engine,
-                                 world_store=world_store)
+                                 engine=engine)
     other: "dict[str, Any]" = {"format": TRACE_FORMAT}
     if metadata:
         other.update({str(key): _json_safe(value)

@@ -28,15 +28,13 @@ from repro.experiments.scale import PAPER, QUICK, SMOKE, resolve_scale
 
 EXPECTED_TASK_COUNTS = {
     "fig6a": 3, "fig6b": 3, "fig6c": 3,     # one per interrupt load
-    "fig7": 5,                              # learning prefix + cases a-d
+    "fig7": 4,                              # bound cases a-d
     "tab62": 3,                             # one per interrupt load
     "validation": 2,                        # classic + monitored legs
     "ablation": 3,                          # boost / throttle / depth
-    "sweep": 10,                            # 4 cycle + warmup + 5 d_min
+    "sweep": 9,                             # 4 cycle + 5 d_min
     "design": 1,
 }
-
-EXPECTED_STRAIGHT_COUNTS = dict(EXPECTED_TASK_COUNTS, fig7=4, sweep=9)
 
 
 def _count_by_experiment(tasks):
@@ -53,12 +51,19 @@ def test_plan_covers_every_experiment():
     assert len(tasks) == sum(EXPECTED_TASK_COUNTS.values())
 
 
-def test_plan_without_shared_prefix_has_no_dependency_tasks():
-    tasks, merges = plan_campaign(EXPERIMENTS, SMOKE, seed=1,
-                                  shared_prefix=False)
-    assert set(merges) == set(EXPERIMENTS)
-    assert _count_by_experiment(tasks) == EXPECTED_STRAIGHT_COUNTS
-    assert all(not task.needs for task in tasks)
+def test_paper_plan_is_straight_line():
+    """Paper-scale ``all`` plans 31 self-contained tasks: no snapshot
+    task, no dependency fields, every kind dispatches to a task
+    function."""
+    from repro.experiments.runner import TASK_FUNCTIONS
+
+    tasks, _ = plan_campaign(EXPERIMENTS, PAPER, seed=1)
+    assert len(tasks) == 31
+    counts = _count_by_experiment(tasks)
+    assert counts["fig7"] == 4 and counts["sweep"] == 9
+    assert {task.kind for task in tasks} == set(TASK_FUNCTIONS)
+    assert all(set(vars(task)) == {"experiment", "kind", "kwargs"}
+               for task in tasks)
 
 
 def test_plan_unknown_experiment_rejected():
@@ -101,26 +106,10 @@ def test_run_campaign_serial_equals_parallel_results():
 
 # ------------------------------------------------------------ executor
 
-def _chain_task(experiment, kind, needs=(), feed=None):
-    return CampaignTask(experiment, kind, {}, needs=tuple(needs), feed=feed)
-
-
-@pytest.mark.parametrize("needs", [((1,), (0,)), ((), (2,))],
-                         ids=["cyclic", "out-of-range"])
-def test_task_waves_rejects_unresolvable_needs(needs):
-    from repro.experiments.runner import _task_waves
-
-    tasks = [_chain_task("a", f"t{index}", needs=need, feed="snapshot")
-             for index, need in enumerate(needs)]
-    with pytest.raises(ValueError, match="cyclic or point outside"):
-        _task_waves(tasks)
-
-
 @pytest.mark.parametrize("seed", [1, 2])
 def test_forked_campaigns_equal_across_jobs(seed):
-    """fig7 and sweep carry ``needs/feed`` chains (the learning prefix
-    and the d_min warmup): forked tasks run in-process at ``jobs=1``
-    and as independent pool items at ``jobs=2``, with equal results."""
+    """fig7 cases and sweep points run in-process at ``jobs=1`` and
+    as pool items at ``jobs=2``, with equal results."""
     serial = run_campaign(("fig7", "sweep"), SMOKE, seed=seed, jobs=1)
     parallel = run_campaign(("fig7", "sweep"), SMOKE, seed=seed, jobs=2)
     assert set(serial["fig7"]) == set(parallel["fig7"])
@@ -134,14 +123,13 @@ def test_forked_campaigns_equal_across_jobs(seed):
 
 def test_serial_cache_is_warm_in_parallel(tmp_path):
     """Cache fingerprints do not depend on the jobs count: a cache
-    written at ``jobs=1`` is fully warm at ``jobs=2``, forked tasks
-    included (parent digests fold in identically on both sides)."""
+    written at ``jobs=1`` is fully warm at ``jobs=2``."""
     from repro.experiments.cache import ResultCache
 
     cache_dir = tmp_path / "cache"
     cold = ResultCache(cache_dir)
     run_campaign(("fig7", "sweep"), SMOKE, seed=1, jobs=1, cache=cold)
-    assert cold.stats.misses == 15 and cold.stats.hits == 0
+    assert cold.stats.misses == 13 and cold.stats.hits == 0
 
     warm = ResultCache(cache_dir)
     run_campaign(("fig7", "sweep"), SMOKE, seed=1, jobs=2, cache=warm)
@@ -150,29 +138,38 @@ def test_serial_cache_is_warm_in_parallel(tmp_path):
 
 
 def test_warm_run_digests_only_fork_parents(tmp_path, monkeypatch):
-    """Cache keys fold in parent digests; only the two fork parents
-    (fig7's prefix, sweep's warmup) are ever digested, once each."""
-    from repro.experiments import runner
+    """Cache keys are a function of the task alone: a warm run digests
+    no result and probes the cache exactly once per task."""
+    from repro.experiments import cache as cache_module
     from repro.experiments.cache import ResultCache
 
     cache_dir = tmp_path / "cache"
     run_campaign(("fig7", "sweep"), SMOKE, seed=1, jobs=1,
                  cache=ResultCache(cache_dir))
     digested = []
+    loaded = []
 
     def counting_digest(result):
         digested.append(result)
         return real_digest(result)
 
-    real_digest = runner.result_digest
-    monkeypatch.setattr(runner, "result_digest", counting_digest)
+    def counting_load(self, key):
+        loaded.append(key)
+        return real_load(self, key)
+
+    real_digest = cache_module.result_digest
+    real_load = ResultCache.load
+    monkeypatch.setattr(cache_module, "result_digest", counting_digest)
+    monkeypatch.setattr(ResultCache, "load", counting_load)
+    tasks, _ = plan_campaign(("fig7", "sweep"), SMOKE, seed=1)
     run_campaign(("fig7", "sweep"), SMOKE, seed=1, jobs=1,
                  cache=ResultCache(cache_dir))
-    assert len(digested) == 2
+    assert len(digested) == 0
+    assert len(loaded) == len(set(loaded)) == len(tasks)
 
 
 def test_one_pool_per_campaign_call(monkeypatch):
-    """Every parallel wave of one call reuses a single pool."""
+    """One parallel call opens a single pool, sized to the jobs."""
     from repro.experiments import runner
 
     real_context = runner._pool_context

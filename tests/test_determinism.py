@@ -7,6 +7,7 @@ behavioural drift (update the snapshot deliberately when semantics
 change — the EXPERIMENTS.md numbers must move with it).
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments.__main__ import main
 from repro.experiments.fig6 import Fig6Config, run_fig6
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -92,3 +94,25 @@ def test_stdout_independent_of_hash_seed(experiment):
     second = run_cli([experiment], hash_seed=4242)
     assert first
     assert first == second
+
+
+#: sha256 of each campaign's ``--smoke --seed 1`` stdout, recorded while
+#: fig7 forked its cases from a shared learning phase and sweep and
+#: ablation forked shared warm worlds.  The straight-line tasks that
+#: replaced the forks must print exactly the same bytes.
+SMOKE_STDOUT_SHA256 = {
+    "fig7": "17084d82f23889dabae9794e4c7f40e344e7b505eeb6c6ba8a41214c3c381fbc",
+    "sweep": "e832f90f018864e416338beccf1d5dc7b14c53ae37b21b844caa9b5bb4494638",
+    "ablation":
+        "789ce7072d77ed9fcc97b9c44e0b3b53544a907a7498db29d0c3a296591d7060",
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("experiment", sorted(SMOKE_STDOUT_SHA256))
+def test_smoke_stdout_golden(experiment, jobs, capsys):
+    assert main([experiment, "--smoke", "--seed", "1", "--no-cache",
+                 "--jobs", jobs]) == 0
+    stdout = capsys.readouterr().out
+    assert (hashlib.sha256(stdout.encode("utf-8")).hexdigest()
+            == SMOKE_STDOUT_SHA256[experiment])

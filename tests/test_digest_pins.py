@@ -19,10 +19,8 @@ from repro.core.policy import NeverInterpose
 from repro.experiments import cache
 from repro.experiments.__main__ import EXPERIMENTS
 from repro.experiments.common import PaperSystemConfig, build_warm_world
-from repro.experiments.fig7 import Fig7Config, Fig7Prefix, _prefix_key
 from repro.experiments.runner import plan_campaign
 from repro.experiments.scale import PAPER
-from repro.experiments.sweep import _dmin_warmup_key
 from repro.sim.snapshot import WorldSnapshot
 from repro.sim.trace import TraceKind, TraceRecorder
 from repro.sim.worldstore import canonical_json
@@ -77,32 +75,19 @@ def test_trace_recorder_digest_pin():
         "627cc60db6637f0bae0f0feedd2dc62f38aaf6b2bcbcbcbd7e5e4dd965a6d23e")
 
 
-@pytest.mark.parametrize("index, kind, plain, forked", [
-    (10, "fig7-case",
-     "41ea68b4721bc465a5a8fafe52901d0930b3187af9df1e12d28f736f6e221351",
-     "56677ab6b2e5545c711ccc47ed6605f7085c626ad4981ef2d2c2af7bd02beee5"),
-    (27, "sweep-dmin-point",
-     "9996497786e576c000e7d7442eab59c2a2c8d66be893997905ae9cfb330590aa",
-     "5458a06beb51d6ce584fe6d250272bb8c04890c8588dbd1fb961380362cb5f45"),
+@pytest.mark.parametrize("index, kind, plain", [
+    (9, "fig7-case",
+     "41ea68b4721bc465a5a8fafe52901d0930b3187af9df1e12d28f736f6e221351"),
+    (25, "sweep-dmin-point",
+     "9996497786e576c000e7d7442eab59c2a2c8d66be893997905ae9cfb330590aa"),
 ], ids=["fig7-case", "sweep-dmin-point"])
-def test_paper_task_fingerprint_pins(monkeypatch, index, kind, plain,
-                                     forked):
+def test_paper_task_fingerprint_pins(monkeypatch, index, kind, plain):
+    """A task's key hashes its kind, kwargs and sources only, so the
+    first fig7 case and d_min point keep their pinned keys whatever
+    their position in the plan (``CACHE_FORMAT`` stays unchanged)."""
     monkeypatch.setattr(cache, "source_fingerprint",
                         lambda module, root_package="repro": "0" * 64)
     tasks, _ = plan_campaign(list(EXPERIMENTS), PAPER, 1)
     task = tasks[index]
     assert task.kind == kind
     assert cache.task_fingerprint(task) == plain
-    assert cache.task_fingerprint(
-        task, parent_digests=("f" * 64,)) == forked
-
-
-def test_fork_parent_key_pins():
-    key = _prefix_key(Fig7Config())
-    assert key == (
-        "f41b25643eb23518a460c895ea019de907e7246fdcb47af18edecc905382c93f")
-    fallback = Fig7Prefix(key=key, learn_count=1, snapshot=None)
-    assert fallback.digest() == (
-        "2c6f09d6c00cdafd997dfede9fe51b0069b31f44da32503b1c02e7a611c335b1")
-    assert _dmin_warmup_key(PaperSystemConfig(), 1444.0, 1000, 19) == (
-        "f786d56bd6a3e0babfe49086d9aab111c064f31ce0916cb7f7bba3283a87d610")

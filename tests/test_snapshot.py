@@ -8,10 +8,10 @@ that invariant at every layer it is used:
 
 * the raw capture/restore protocol at arbitrary quiescent points
   (hypothesis drives the fork point and the policy);
-* the fig7 shared learning-phase prefix;
-* the sweep/ablation shared warm worlds;
-* the campaign runner's forked task waves (serial and parallel) and
-  the result cache's parent-digest fingerprinting.
+* warm worlds captured at t=0 and their restored devices.
+
+The experiment campaigns themselves never fork: every task runs
+straight-line.
 """
 
 from __future__ import annotations
@@ -34,28 +34,13 @@ from repro.experiments.common import (
     run_irq_scenario,
     run_irq_scenario_from,
 )
-from repro.experiments.fig7 import (
-    Fig7Config,
-    run_fig7,
-    run_fig7_case,
-    run_fig7_prefix,
-)
-from repro.experiments.runner import plan_campaign, run_campaign
-from repro.experiments.scale import resolve_scale
-from repro.experiments.sweep import (
-    run_dmin_sweep_point,
-    run_dmin_warmup,
-)
 from repro.sim.snapshot import (
     SnapshotError,
     capture_world,
     restore_world,
     settle,
 )
-from repro.workloads.automotive import AutomotiveTraceConfig
 from repro.workloads.synthetic import clip_to_dmin, exponential_interarrivals
-
-SMOKE = resolve_scale(quick=False, smoke=True)
 
 
 def scenario_fingerprint(result) -> dict:
@@ -73,14 +58,6 @@ def scenario_fingerprint(result) -> dict:
         "engine": (hv.engine.now, hv.engine.events_executed,
                    hv.engine.events_scheduled, hv.engine.events_cancelled),
     }
-
-
-def latency_csv_bytes(tmp_path, tag, result) -> bytes:
-    from repro.metrics.export import write_series_csv
-
-    path = tmp_path / f"{tag}.csv"
-    write_series_csv(path, result.latencies_us, column="latency_us")
-    return path.read_bytes()
 
 
 # --------------------------------------------------------- raw protocol
@@ -169,139 +146,6 @@ def test_capture_refuses_unclaimed_pending_events():
     # event is claimed, so this must fail loudly.
     with pytest.raises(SnapshotError):
         capture_world(hv, devices={})
-
-
-# ------------------------------------------------------------- fig7
-
-def fig7_asdict(results) -> dict:
-    return {label: dataclasses.asdict(case)
-            for label, case in results.items()}
-
-
-def test_fig7_shared_prefix_matches_straight_line(tmp_path):
-    config = Fig7Config(trace=AutomotiveTraceConfig(
-        activation_count=SMOKE.fig7_activations, seed=1,
-    ))
-    forked = run_fig7(config, shared_prefix=True)
-    straight = run_fig7(config, shared_prefix=False)
-    assert fig7_asdict(forked) == fig7_asdict(straight)
-    # The exported CSV artifacts are byte-identical too.
-    from repro.metrics.export import write_series_csv
-    for label in forked:
-        a = tmp_path / f"fork_{label}.csv"
-        b = tmp_path / f"straight_{label}.csv"
-        write_series_csv(a, forked[label].series_us, column="avg_latency_us")
-        write_series_csv(b, straight[label].series_us,
-                         column="avg_latency_us")
-        assert a.read_bytes() == b.read_bytes()
-
-
-def test_fig7_case_rejects_mismatched_prefix():
-    config = Fig7Config(trace=AutomotiveTraceConfig(
-        activation_count=SMOKE.fig7_activations, seed=1,
-    ))
-    other = Fig7Config(trace=AutomotiveTraceConfig(
-        activation_count=SMOKE.fig7_activations, seed=2,
-    ))
-    prefix = run_fig7_prefix(config)
-    assert prefix.snapshot is not None
-    with pytest.raises(ValueError):
-        run_fig7_case("a", other, prefix=prefix)
-
-
-def test_fig7_prefix_digest_distinguishes_fallback():
-    config = Fig7Config(trace=AutomotiveTraceConfig(
-        activation_count=SMOKE.fig7_activations, seed=1,
-    ))
-    prefix = run_fig7_prefix(config)
-    fallback = dataclasses.replace(prefix, snapshot=None)
-    assert prefix.digest() != fallback.digest()
-
-
-# ------------------------------------------------------------- sweep
-
-def test_dmin_sweep_point_forked_from_warmup_matches_straight():
-    warmup = run_dmin_warmup(irq_count=SMOKE.sweep_irqs, seed=19)
-    for multiplier in (1.0, 8.0):
-        forked = run_dmin_sweep_point(multiplier,
-                                      irq_count=SMOKE.sweep_irqs,
-                                      seed=19, warmup=warmup)
-        straight = run_dmin_sweep_point(multiplier,
-                                        irq_count=SMOKE.sweep_irqs,
-                                        seed=19, warmup=None)
-        assert dataclasses.asdict(forked) == dataclasses.asdict(straight)
-
-
-def test_dmin_sweep_point_rejects_mismatched_warmup():
-    warmup = run_dmin_warmup(irq_count=SMOKE.sweep_irqs, seed=19)
-    with pytest.raises(ValueError):
-        run_dmin_sweep_point(1.0, irq_count=SMOKE.sweep_irqs, seed=20,
-                             warmup=warmup)
-
-
-# ---------------------------------------------------------- campaigns
-
-def campaign_asdict(merged) -> dict:
-    def convert(value):
-        if dataclasses.is_dataclass(value) and not isinstance(value, type):
-            return dataclasses.asdict(value)
-        if isinstance(value, dict):
-            return {key: convert(item) for key, item in value.items()}
-        if isinstance(value, (list, tuple)):
-            return [convert(item) for item in value]
-        return value
-
-    return {name: convert(value) for name, value in merged.items()}
-
-
-def test_campaign_shared_prefix_is_byte_identical_across_modes():
-    names = ("fig7", "sweep")
-    forked_serial = run_campaign(names, SMOKE, seed=1, jobs=1,
-                                 shared_prefix=True)
-    straight = run_campaign(names, SMOKE, seed=1, jobs=1,
-                            shared_prefix=False)
-    forked_parallel = run_campaign(names, SMOKE, seed=1, jobs=2,
-                                   shared_prefix=True)
-    assert (campaign_asdict(forked_serial)
-            == campaign_asdict(straight)
-            == campaign_asdict(forked_parallel))
-
-
-def test_campaign_plan_rebases_needs_across_experiments():
-    tasks, _ = plan_campaign(("fig7", "sweep"), SMOKE, seed=1,
-                             shared_prefix=True)
-    for index, task in enumerate(tasks):
-        for need in task.needs:
-            assert need < index
-            assert tasks[need].experiment == task.experiment
-
-
-def test_cached_campaign_replays_forked_tasks(tmp_path):
-    from repro.experiments.cache import ResultCache
-
-    cache = ResultCache(tmp_path / "cache")
-    cold = run_campaign(("fig7",), SMOKE, seed=1, jobs=1, cache=cache,
-                        shared_prefix=True)
-    cold_stats = (cache.stats.hits, cache.stats.misses)
-    warm = run_campaign(("fig7",), SMOKE, seed=1, jobs=1, cache=cache,
-                        shared_prefix=True)
-    assert campaign_asdict(cold) == campaign_asdict(warm)
-    assert cold_stats == (0, 5)          # prefix + four cases computed
-    assert cache.stats.hits == 5         # all five replayed warm
-    assert cache.stats.misses == 5
-
-
-def test_forked_task_fingerprint_folds_parent_digest():
-    from repro.experiments.cache import task_fingerprint
-    from repro.experiments.runner import CampaignTask
-
-    task = CampaignTask("fig7", "fig7-case", {"label": "a"},
-                        needs=(0,), feed="prefix")
-    plain = task_fingerprint(task)
-    with_parent = task_fingerprint(task, parent_digests=("d1",))
-    other_parent = task_fingerprint(task, parent_digests=("d2",))
-    assert plain != with_parent
-    assert with_parent != other_parent
 
 
 # -------------------------------------------------- warm-world devices

@@ -556,15 +556,3 @@ class TestStoreABResult:
                                write_stats=StoreWriteStats(), repeats=1)
         assert result.overhead == 0.0
         assert result.write_ratio == 0.0
-
-
-class TestParquetSoftDependency:
-    def test_missing_pyarrow_raises_runtime_error(self, tmp_path):
-        try:
-            import pyarrow  # noqa: F401
-            pytest.skip("pyarrow installed; soft-import path not testable")
-        except ImportError:
-            pass
-        artifact = RunArtifact.read(write_sample(tmp_path / "a.rpart"))
-        with pytest.raises(RuntimeError, match="pyarrow"):
-            artifact.to_parquet(tmp_path / "a.parquet")
