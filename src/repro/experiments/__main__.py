@@ -11,11 +11,13 @@ Experiment ids match the per-experiment index in DESIGN.md:
 fig6a, fig6b, fig6c, fig7, tab62, validation, ablation, sweep, design.
 
 Campaigns decompose into independent tasks (see
-:mod:`repro.experiments.runner`) executed across ``--jobs`` worker
-processes; results are byte-identical for every jobs count because the
-per-task seeds are derived deterministically and merges consume task
-results in serial order.  Timing goes to stderr so stdout can be
-diffed across jobs counts.
+:mod:`repro.experiments.runner`); one call runs every selected
+experiment's tasks across ``--jobs`` worker processes and prints each
+experiment as soon as its last task resolves.  Results are
+byte-identical for every jobs count because the per-task seeds are
+derived deterministically and merges consume task results in serial
+order.  Timing goes to stderr so stdout can be diffed across jobs
+counts.
 
 Campaigns are **incremental** by default: task results are replayed
 from a content-addressed on-disk cache (see
@@ -351,20 +353,27 @@ def main(argv: "list[str] | None" = None) -> int:
                               jobs=jobs),
         )
 
+    # Each experiment's seconds run from the previous experiment's
+    # release (or the campaign start) to its own, so they sum to the
+    # campaign's wall time.
     experiment_seconds: "dict[str, float]" = {}
-    for name in names:
-        started = time.perf_counter()
-        merged = run_campaign((name,), scale, seed=args.seed, jobs=jobs,
-                              cache=cache, telemetry=telemetry,
-                              progress=progress, store=store)
-        output = _render_one(name, merged[name], args.export)
-        elapsed = time.perf_counter() - started
-        experiment_seconds[name] = elapsed
-        print(f"[{name}] {elapsed:.1f}s (scale={scale.name}, jobs={jobs})",
-              file=sys.stderr)
+    last_release = time.perf_counter()
+
+    def emit(name: str, merged) -> None:
+        nonlocal last_release
+        output = _render_one(name, merged, args.export)
+        now = time.perf_counter()
+        experiment_seconds[name] = now - last_release
+        last_release = now
+        print(f"[{name}] {experiment_seconds[name]:.1f}s "
+              f"(scale={scale.name}, jobs={jobs})", file=sys.stderr)
         print(f"=== {name} " + "=" * max(0, 50 - len(name)))
         print(output)
         print()
+
+    run_campaign(names, scale, seed=args.seed, jobs=jobs, cache=cache,
+                 telemetry=telemetry, progress=progress, store=store,
+                 on_experiment=emit)
 
     if args.cache_stats and cache is not None:
         print(f"[cache] {cache.stats.render()} dir={cache.directory}",

@@ -23,9 +23,14 @@ order, ``run_campaign(..., jobs=N)`` is **byte-identical** to
 ``jobs=1`` for every N: parallelism only changes wall-clock time.
 
 No task depends on another's result: a fig7 case replays its own
-learning phase, a sweep point builds its own world.  One executor
-(:func:`_run_tasks`) therefore probes the cache once and runs every
-miss as an independent work item, in-process or over one pool.
+learning phase, a sweep point builds its own world.  One call plans
+every selected experiment into one flat task list, and one executor
+(:func:`_run_tasks`) probes the cache once per task and runs every
+miss as an independent work item, in-process or over one pool for the
+whole call.  Results resolve in task order, so each experiment is
+released — its store artifacts written in task order, its merge run,
+its result handed on — as soon as its last task resolves, and its
+task results are dropped before later experiments finish.
 
 Workload generation inside the workers is cheap and deterministic
 (:mod:`repro.workloads` memoizes interarrival arrays and traces), so
@@ -47,9 +52,11 @@ import platform
 import sys
 import tempfile
 import time
+from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 try:
     import fcntl
@@ -124,7 +131,9 @@ class TaskTelemetry:
     index: int                      #: position in the campaign task list
     cached: bool                    #: replayed from the result cache
     wall_seconds: float             #: compute time (0.0 for cache hits)
-    queue_wait_seconds: float       #: submission -> worker pickup delay
+    #: time a free worker sat idle before picking the task up (0.0
+    #: in-process and for cache hits)
+    queue_wait_seconds: float
     started_offset_seconds: float   #: pickup time relative to campaign start
     worker_pid: int
 
@@ -143,8 +152,8 @@ class CampaignTelemetry:
     tasks: "list[TaskTelemetry]" = field(default_factory=list)
     #: monotonic instant of the first run_campaign call sharing this
     #: object; all started_offset_seconds are measured against it, so
-    #: per-worker task timelines stay monotone across a multi-campaign
-    #: CLI run (one trace track per worker pid).
+    #: per-worker task timelines stay monotone when several calls feed
+    #: one object (one trace track per worker pid).
     epoch: "float | None" = None
 
     @property
@@ -184,7 +193,7 @@ def _execute_item(item: "tuple[CampaignTask, float]",
     """Run one work item: ``(task, epoch) -> (result, pickup, elapsed, pid)``.
 
     ``pickup`` is the start instant relative to ``epoch`` (the
-    executor call's start), ``elapsed`` the compute time.
+    campaign epoch), ``elapsed`` the compute time.
     ``time.monotonic`` is a system-wide clock on the supported
     platforms, so offsets against the parent's epoch are meaningful
     inside fork/spawn workers.
@@ -324,34 +333,35 @@ def _run_tasks(tasks: "list[CampaignTask]", jobs: int,
                telemetry: "CampaignTelemetry | None" = None,
                progress: "Callable[[int, int, CampaignTask], None] | None"
                = None,
-               epoch: "float | None" = None) -> "list":
-    """Execute independent tasks, in-process or over one pool.
+               epoch: "float | None" = None,
+               ) -> "Iterator[tuple[int, Any]]":
+    """Execute independent tasks; yield ``(index, result)`` as each resolves.
 
-    The parent first replays every cache hit, then runs the misses
+    The parent probes the cache once per task, in task order, and
+    yields each hit as soon as it loads, so a consumer can release
+    leading experiments before any miss runs.  It then runs the misses
     through :func:`_execute_item`: in-process when ``jobs <= 1`` or
     there is a single miss, otherwise over ordered ``imap`` on one pool
-    of at most ``jobs`` workers.  Results land at their task indices,
-    so merges see the same order on every path; a fully warm run starts
-    no pool at all.
+    of at most ``jobs`` workers; misses are yielded in task order
+    either way.  A fully warm run starts no pool at all.  Close the
+    generator (or exhaust it) to shut the pool down.
 
-    Queue waits are measured against this call's start; started
-    offsets against ``epoch`` (the shared campaign epoch), so worker
-    timelines stay monotone when several campaigns feed one telemetry
-    object.
+    Started offsets are measured against ``epoch`` (default: this
+    call's start).  A task's queue wait is the time a free worker sat
+    idle before picking it up: ``0.0`` in-process, and in the pool the
+    pickup minus the later of the submission and the end of the same
+    worker's previous task.
     """
-    call_started = time.monotonic()
-    base = 0.0 if epoch is None else call_started - epoch
+    base = time.monotonic() if epoch is None else epoch
     total = len(tasks)
-    results: "list[Any]" = [None] * total
     done = 0
 
-    def record(index: int, *, cached: bool, wall: float, pickup: float,
-               pid: int) -> None:
+    def record(index: int, *, cached: bool, wall: float, wait: float,
+               pickup: float, pid: int) -> None:
         nonlocal done
         done += 1
         _record_task(telemetry, progress, tasks[index], index, done, total,
-                     cached=cached, wall=wall,
-                     wait=0.0 if cached else pickup, offset=base + pickup,
+                     cached=cached, wall=wall, wait=wait, offset=pickup,
                      pid=pid)
 
     keys: "dict[int, str]" = {}
@@ -361,30 +371,36 @@ def _run_tasks(tasks: "list[CampaignTask]", jobs: int,
             keys[index] = task_fingerprint(task)
             entry = cache.load(keys[index])
             if entry is not None:
-                results[index] = entry.result
-                record(index, cached=True, wall=0.0,
-                       pickup=time.monotonic() - call_started,
-                       pid=os.getpid())
+                record(index, cached=True, wall=0.0, wait=0.0,
+                       pickup=time.monotonic() - base, pid=os.getpid())
+                yield index, entry.result
                 continue
         misses.append(index)
-    items = [(tasks[index], call_started) for index in misses]
+    items = [(tasks[index], base) for index in misses]
     pool = None
     if jobs <= 1 or len(items) <= 1:
         outcomes = map(_execute_item, items)
     else:
         pool = _pool_context().Pool(min(jobs, len(items)))
+        submitted = time.monotonic() - base
         outcomes = pool.imap(_execute_item, items, chunksize=1)
+    # worker pid -> end of its previous task (pool tasks reach the
+    # parent in task order, which is each worker's pickup order)
+    free_since: "dict[int, float]" = {}
     try:
         for index, (result, pickup, elapsed, pid) in zip(misses, outcomes):
             if cache is not None:
                 cache.store(keys[index], tasks[index], result, elapsed)
-            results[index] = result
-            record(index, cached=False, wall=elapsed, pickup=pickup,
-                   pid=pid)
+            wait = 0.0
+            if pool is not None:
+                wait = max(0.0, pickup - free_since.get(pid, submitted))
+                free_since[pid] = pickup + elapsed
+            record(index, cached=False, wall=elapsed, wait=wait,
+                   pickup=pickup, pid=pid)
+            yield index, result
     finally:
         if pool is not None:
             pool.terminate()
-    return results
 
 
 def run_campaign(names: Sequence[str], scale: ExperimentScale,
@@ -394,16 +410,27 @@ def run_campaign(names: Sequence[str], scale: ExperimentScale,
                  progress: "Callable[[int, int, CampaignTask], None] | None"
                  = None,
                  store: "Any | None" = None,
+                 on_experiment: "Callable[[str, Any], None] | None" = None,
                  ) -> "dict[str, Any]":
     """Run the selected experiment campaigns, optionally in parallel.
 
-    ``jobs=1`` executes every task in-process, exactly like the
-    original serial loops.  ``jobs=N`` fans the tasks out over one
-    process pool of at most ``N`` workers, started once per call, with
-    ``chunksize=1`` (tasks have very uneven durations, so
-    greedy scheduling matters).  Either way the merge consumes results
-    in the fixed task order, so the returned results — and anything
-    rendered from them — are byte-identical.
+    Every selected experiment's tasks form one plan.  ``jobs=1``
+    executes every task in-process, exactly like the original serial
+    loops.  ``jobs=N`` fans the tasks out over one process pool of at
+    most ``N`` workers, started once per call, with ``chunksize=1``
+    (tasks have very uneven durations, so greedy scheduling matters).
+    Either way the merge consumes results in the fixed task order, so
+    the returned results — and anything rendered from them — are
+    byte-identical.
+
+    Results resolve in task order, and each experiment is *released*,
+    in ``names`` order, as soon as its last task resolves: its store
+    artifacts are written, its merge runs, and the merged result goes
+    to ``on_experiment(name, merged)`` when that callback is given
+    (and is then left out of the returned dict) or into the returned
+    dict otherwise.  The released task results are dropped, so with a
+    callback the parent holds only the results of experiments still in
+    flight.
 
     With a :class:`~repro.experiments.cache.ResultCache`, tasks whose
     content fingerprint matches a stored entry replay the pickled
@@ -418,11 +445,11 @@ def run_campaign(names: Sequence[str], scale: ExperimentScale,
     ``store`` is any object exposing ``write_task(task, result,
     index)`` — in practice a
     :class:`repro.store.capture.CampaignStoreWriter` — called once per
-    task in task order, in the parent process, after every task has
-    resolved and before the merges run.  The runner never imports the
-    store package; capture is observational and results pass through
-    untouched, so merged results stay byte-identical with or without
-    it.
+    task in the parent process as its experiment is released, in task
+    order, with ``index`` the task's position within its experiment.
+    The runner never imports the store package; capture is
+    observational and results pass through untouched, so merged
+    results stay byte-identical with or without it.
     """
     if jobs is None:
         jobs = os.cpu_count() or 1
@@ -434,15 +461,33 @@ def run_campaign(names: Sequence[str], scale: ExperimentScale,
         if telemetry.epoch is None:
             telemetry.epoch = started
         epoch = telemetry.epoch
-    results = _run_tasks(tasks, jobs, cache, telemetry, progress, epoch)
-    if store is not None:
-        for index, (task, result) in enumerate(zip(tasks, results)):
-            store.write_task(task, result, index)
+    sizes = Counter(task.experiment for task in tasks)
+    pending = Counter(sizes)
+    held: "dict[int, Any]" = {}
     merged: "dict[str, Any]" = {}
-    for name in names:
-        own = [result for task, result in zip(tasks, results)
-               if task.experiment == name]
-        merged[name] = merges[name](own)
+
+    def release(name: str, first: int) -> None:
+        own = [held.pop(index)
+               for index in range(first, first + sizes[name])]
+        if store is not None:
+            for offset, result in enumerate(own):
+                store.write_task(tasks[first + offset], result, offset)
+        if on_experiment is None:
+            merged[name] = merges[name](own)
+        else:
+            on_experiment(name, merges[name](own))
+
+    released = 0        # experiments released so far, in names order
+    first = 0           # index of the next experiment's first task
+    with closing(_run_tasks(tasks, jobs, cache, telemetry, progress,
+                            epoch)) as resolved:
+        for index, result in resolved:
+            held[index] = result
+            pending[tasks[index].experiment] -= 1
+            while released < len(names) and pending[names[released]] == 0:
+                release(names[released], first)
+                first += sizes[names[released]]
+                released += 1
     if telemetry is not None:
         telemetry.wall_seconds += time.monotonic() - started
     return merged

@@ -78,14 +78,14 @@ def _run_leg(tasks, capture: bool,
     gc.collect()
     if not capture:
         started = time.perf_counter()
-        _run_tasks(tasks, 1)
+        for _ in _run_tasks(tasks, 1):
+            pass
         return time.perf_counter() - started, None
     with tempfile.TemporaryDirectory(prefix="repro-store-ab-") as tmp:
         started = time.perf_counter()
         writer = CampaignStoreWriter(tmp, campaign_meta)
-        results = _run_tasks(tasks, 1)
-        for index, (task, result) in enumerate(zip(tasks, results)):
-            writer.write_task(task, result, index)
+        for index, result in _run_tasks(tasks, 1):
+            writer.write_task(tasks[index], result, index)
         stats = writer.finalize()
         return time.perf_counter() - started, stats
 

@@ -168,9 +168,11 @@ def test_warm_run_digests_only_fork_parents(tmp_path, monkeypatch):
     assert len(loaded) == len(set(loaded)) == len(tasks)
 
 
-def test_one_pool_per_campaign_call(monkeypatch):
-    """One parallel call opens a single pool, sized to the jobs."""
+def test_one_pool_per_campaign_call(monkeypatch, tmp_path, capsys):
+    """One parallel call over several experiments opens a single pool,
+    sized to the jobs; a fully warm re-run opens none."""
     from repro.experiments import runner
+    from repro.experiments.cache import ResultCache
 
     real_context = runner._pool_context
     sizes = []
@@ -181,8 +183,55 @@ def test_one_pool_per_campaign_call(monkeypatch):
             return real_context().Pool(processes, *args, **kwargs)
 
     monkeypatch.setattr(runner, "_pool_context", CountingContext)
-    run_campaign(("fig7", "sweep"), SMOKE, seed=1, jobs=2)
+    names = ("fig6a", "fig7", "tab62", "sweep", "design")
+    cold = run_campaign(names, SMOKE, seed=1, jobs=2,
+                        cache=ResultCache(tmp_path / "cache"))
     assert sizes == [2]
+    warm = run_campaign(names, SMOKE, seed=1, jobs=2,
+                        cache=ResultCache(tmp_path / "cache"))
+    assert sizes == [2]
+    assert warm["sweep"] == cold["sweep"]
+    # the CLI runs the whole invocation as one call, so one pool
+    assert main(["fig6", "--smoke", "--jobs", "2", "--no-cache"]) == 0
+    assert sizes == [2, 2]
+
+
+def test_experiments_stream_in_order_before_the_campaign_ends():
+    """Each experiment is released, in ``names`` order, as soon as its
+    last task resolves: the first one is handed on before the last
+    task's progress callback fires, and released results are not kept
+    in the returned dict."""
+    names = ("fig6a", "tab62", "validation", "design")
+    events = []
+    returned = run_campaign(
+        names, SMOKE, seed=1, jobs=2,
+        progress=lambda done, total, task: events.append(
+            ("progress", done, total)),
+        on_experiment=lambda name, merged: events.append(("emit", name)),
+    )
+    assert returned == {}
+    emitted = [event[1] for event in events if event[0] == "emit"]
+    assert emitted == list(names)
+    total = events[0][2]
+    assert events.index(("emit", names[0])) < events.index(
+        ("progress", total, total))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_queue_wait_counts_only_idle_workers(jobs):
+    """In-process tasks never wait; pool tasks wait only while a free
+    worker sits idle, so the summed wait stays below wall x jobs."""
+    from repro.experiments.runner import CampaignTelemetry
+
+    telemetry = CampaignTelemetry()
+    run_campaign(("fig6a", "tab62", "validation"), SMOKE, seed=1,
+                 jobs=jobs, telemetry=telemetry)
+    waits = [task.queue_wait_seconds for task in telemetry.tasks
+             if not task.cached]
+    assert len(waits) == 8
+    if jobs == 1:
+        assert waits == [0.0] * len(waits)
+    assert 0.0 <= sum(waits) < telemetry.wall_seconds * jobs
 
 
 # ----------------------------------------------------------------- CLI
